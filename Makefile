@@ -1,5 +1,5 @@
 .PHONY: install test lint bench bench-smoke bench-golden bench-prefetch \
-	bench-kernels bench-parallel bench-service chaos service-smoke \
+	bench-kernels bench-service chaos service-smoke \
 	service-chaos examples suite clean \
 	reproduce-smoke reproduce-paper artifact-golden
 
@@ -48,12 +48,6 @@ bench-prefetch:
 # (simulated disk forced off; gates 1P-SCC at >= 2x over scalar).
 bench-kernels:
 	$(PYTHON) -m benchmarks.bench_kernels
-
-# Edge-scan throughput of the parallel scan executor -> BENCH_parallel.json
-# (simulated disk forced off; gates 1P-SCC at >= 2x at 4 workers over
-# the single-process vector baseline).
-bench-parallel:
-	$(PYTHON) -m benchmarks.bench_parallel
 
 # Serving-plane latency/shedding/rebuild-availability of the query
 # daemon -> BENCH_service.json (gates zero wrong answers, >= 95 %

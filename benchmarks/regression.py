@@ -40,14 +40,6 @@ and the partition fingerprint must be byte-identical to the primary
 run.  That is the accounting-transparency contract of the live metrics
 plane: turning telemetry on never changes what the model counts.
 
-With ``--workers N`` every case additionally gets a *parallel-
-determinism* re-run that stripes its edge scans across ``N`` forked
-worker processes (see :mod:`repro.parallel`) and must reproduce the
-primary run byte-for-byte: identical counted I/O in all six fields,
-identical iteration counts, identical partition fingerprint.  That is
-the deterministic-merge contract of the parallel executor — workers
-change wall time, never the trajectory.
-
 Wall-clock is deliberately NOT gated here (CI machines are noisy); the
 counted block transfers are exact and machine-independent, which is the
 point of measuring I/O in-model.
@@ -168,7 +160,6 @@ def _run_case(
     trace_suffix: str = "",
     fault_plan: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
-    workers: int = 0,
 ) -> Dict[str, object]:
     trace_path = None
     if trace_dir is not None:
@@ -187,7 +178,6 @@ def _run_case(
         kernels=kernels,
         fault_plan=fault_plan,
         metrics=metrics,
-        workers=workers,
     )
     entry: Dict[str, object] = {
         "algorithm": algorithm,
@@ -205,11 +195,6 @@ def _run_case(
         if fault_plan is not None:
             entry["io_retries"] = io.io_retries
             entry["faults_injected"] = io.faults_injected
-        if workers:
-            extras = record.result.stats.extras
-            entry["workers"] = workers
-            entry["parallel_batches"] = extras.get("parallel_batches", 0)
-            entry["parallel_fallbacks"] = extras.get("parallel_fallbacks", 0)
     if trace_path is not None:
         entry["trace"] = os.path.basename(trace_path)
     return entry
@@ -250,7 +235,6 @@ def run_gate(
     skip_fault_check: bool = False,
     skip_metrics_check: bool = False,
     kernels: str = "vector",
-    workers: int = 0,
 ) -> int:
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
@@ -346,36 +330,6 @@ def run_gate(
                         f"{case_id}: transient faults changed the SCC "
                         f"partition"
                     )
-        if workers > 0 and entry["status"] == "ok":
-            # Parallel determinism: striping the scans across forked
-            # workers must reproduce the serial trajectory byte-for-byte
-            # — the deterministic-merge contract of repro.parallel.
-            par_entry = _run_case(
-                case_id, algorithm, graph, trace_dir,
-                kernels=kernels, trace_suffix=f"-workers{workers}",
-                workers=workers,
-            )
-            if par_entry["status"] != "ok":
-                problems.append(
-                    f"{case_id}: --workers {workers} re-run failed with "
-                    f"status {par_entry['status']!r}"
-                )
-            else:
-                for fld in IO_FIELDS:
-                    base_value = entry.get("io", {}).get(fld)  # type: ignore[union-attr]
-                    p_value = par_entry.get("io", {}).get(fld)  # type: ignore[union-attr]
-                    if base_value != p_value:
-                        problems.append(
-                            f"{case_id}: {workers} workers changed counted "
-                            f"{fld}: {p_value} != {base_value} "
-                            f"(deterministic merge broken)"
-                        )
-                for key in ("iterations", "num_sccs", "partition_sha256"):
-                    if entry.get(key) != par_entry.get(key):
-                        problems.append(
-                            f"{case_id}: {workers} workers changed {key}: "
-                            f"{par_entry.get(key)!r} != {entry.get(key)!r}"
-                        )
         if not skip_metrics_check and entry["status"] == "ok":
             # Accounting transparency: a live metrics registry plus the
             # background sampler at default cadence must not change one
@@ -518,12 +472,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="scan-kernel backend for the primary runs; the transparency "
              "re-run uses the other backend unless --skip-kernel-check",
     )
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="also re-run every case with N forked scan workers and "
-             "demand byte-identical counted I/O, iterations and "
-             "partition fingerprints (parallel-determinism check)",
-    )
     args = parser.parse_args(argv)
     return run_gate(
         write_golden=args.write_golden,
@@ -534,7 +482,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         skip_fault_check=args.skip_fault_check,
         skip_metrics_check=args.skip_metrics_check,
         kernels=args.kernels,
-        workers=args.workers,
     )
 
 

@@ -98,7 +98,6 @@ def compute_sccs(
     prefetch_depth: int = 0,
     cache_blocks: int = 0,
     kernels: Optional[str] = None,
-    workers: int = 0,
 ) -> SCCResult:
     """Compute all SCCs with one of the paper's algorithms.
 
@@ -125,16 +124,11 @@ def compute_sccs(
         :meth:`SCCAlgorithm.run`).  Both default to off, preserving the
         paper-faithful direct-read path.
     kernels:
-        Scan-kernel backend: ``"vector"`` (default) classifies edge
-        batches against an Euler-tour snapshot of the spanning tree;
+        Scan-kernel backend: ``"vector"`` (default) answers ancestor
+        tests from the spanning tree's live Euler-tour labels;
         ``"scalar"`` runs the paper-literal per-edge loops.  The choice
         changes CPU time only — labels, iterations and counted I/O are
         identical either way (see :meth:`SCCAlgorithm.run`).
-    workers:
-        When positive, stripe edge-scan batches across this many forked
-        worker processes (see :mod:`repro.parallel`).  Like ``kernels``
-        this changes wall time only: partitions, iteration counts and
-        counted I/O are byte-identical to a serial run.
     """
     if isinstance(algorithm, str):
         if algorithm not in ALGORITHMS:
@@ -147,7 +141,7 @@ def compute_sccs(
         return algorithm.run(
             graph, memory=memory, time_limit=time_limit, tracer=tracer,
             prefetch_depth=prefetch_depth, cache_blocks=cache_blocks,
-            kernels=kernels, workers=workers,
+            kernels=kernels,
         )
 
     if isinstance(graph, np.ndarray):
@@ -169,7 +163,7 @@ def compute_sccs(
             return algorithm.run(
                 disk, memory=memory, time_limit=time_limit, tracer=tracer,
                 prefetch_depth=prefetch_depth, cache_blocks=cache_blocks,
-                kernels=kernels, workers=workers,
+                kernels=kernels,
             )
         finally:
             disk.unlink()

@@ -8,9 +8,10 @@ under ``REPRO_CHECK_INVARIANTS=1`` validates exactly the contracts the
 linter cannot see statically — parent/depth consistency, the single
 strictly-shallower backward link, drank monotonicity.
 
-The layer is free when disabled: :func:`invariant` wraps methods with a
-single environment check, and checkers only run when
-``REPRO_CHECK_INVARIANTS`` is set to a truthy value.
+The layer is nearly free when disabled: :func:`invariant` wraps methods
+with one attribute check — hosts resolve ``REPRO_CHECK_INVARIANTS``
+once, into a ``contracts_enabled`` attribute, when they are built — and
+checkers only run when the variable is set to a truthy value.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def invariant(*checker_names: str) -> Callable[[_Method], _Method]:
     """Decorate a method to run named checker methods after it returns.
 
     Each name in ``checker_names`` must be a zero-argument method on the
-    same object; the checkers run — in order — only when
-    :func:`invariants_enabled` is true, and raise
+    same object; the checkers run — in order — only when the object's
+    ``contracts_enabled`` attribute is true (hosts without one consult
+    :func:`invariants_enabled` per call), and raise
     :class:`~repro.exceptions.ContractViolation` on breakage.  The
     wrapped method's return value is passed through untouched.
     """
@@ -59,7 +61,10 @@ def invariant(*checker_names: str) -> Callable[[_Method], _Method]:
         @functools.wraps(method)
         def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
             result = method(self, *args, **kwargs)
-            if invariants_enabled():
+            enabled = getattr(self, "contracts_enabled", None)
+            if enabled is None:
+                enabled = invariants_enabled()
+            if enabled:
                 for name in checker_names:
                     getattr(self, name)()
             return result

@@ -26,10 +26,6 @@ trees behave like the real packages they imitate):
   ``repro.kernels`` backend as arrays (the one sanctioned per-edge
   loop set lives in ``repro/kernels/scalar.py``, outside this rule's
   scope).
-* **THR003** — ``multiprocessing`` (and ``shared_memory``) imports only
-  inside ``repro/parallel/``, and every created shared-memory segment
-  must unlink on a ``finally`` path: worker fan-out goes through the
-  deterministic pool, and crashed runs must not leak ``/dev/shm``.
 * **THR004** — thread and socket machinery is confined to
   ``repro/service/`` and ``repro/obs/`` (the daemon and the
   observability plane are the only long-lived concurrent components),
@@ -695,152 +691,6 @@ class PerEdgeBoxingRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# THR003
-# ----------------------------------------------------------------------
-
-_MP_MODULES = ("multiprocessing", "multiprocessing.shared_memory")
-
-
-def _enclosing_scopes(tree: ast.AST) -> List[Tuple[ast.AST, List[ast.AST]]]:
-    """Pair each class/function/module scope with its lexical contents."""
-    scopes: List[Tuple[ast.AST, List[ast.AST]]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)):
-            scopes.append((node, list(ast.walk(node))))
-    return scopes
-
-
-class ProcessDisciplineRule(Rule):
-    """THR003: process fan-out outside ``repro/parallel/``; leaky shm.
-
-    Two defects, one discipline:
-
-    * **Containment** — ``multiprocessing`` (including
-      ``shared_memory``) may be imported only inside ``repro/parallel/``.
-      Every forked worker must go through the pool's deterministic
-      striping and crash containment; an ad-hoc ``Process`` elsewhere is
-      an unaccounted execution side channel, exactly as a stray
-      ``Thread`` is to SCAN001.
-    * **Lifetime** — a ``SharedMemory(..., create=True)`` segment is a
-      kernel object that outlives its creator unless unlinked.  The
-      creating class (or function) must also contain an ``.unlink()``
-      call on a ``finally`` path — the shape
-      :class:`repro.parallel.shm.SnapshotArena` implements — or the
-      segment leaks ``/dev/shm`` space on every crashed run.
-    """
-
-    rule_id = "THR003"
-    title = "multiprocessing outside repro/parallel/, or unlink-less shm"
-    rationale = (
-        "worker processes must go through the repro.parallel pool "
-        "(deterministic striping, crash containment) and every created "
-        "shared-memory segment needs a finally-path unlink, or crashed "
-        "runs leak /dev/shm segments"
-    )
-
-    def applies_to(self, relpath: str) -> bool:
-        """Everywhere: containment is scoped inside :meth:`check`."""
-        return True
-
-    def check(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        """Flag out-of-scope multiprocessing and unlink-less segments."""
-        out: List[Violation] = []
-        if "parallel" not in _dir_parts(relpath):
-            out.extend(self._containment(tree, relpath))
-        out.extend(self._shm_lifetime(tree, relpath))
-        return out
-
-    def _containment(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        remedy = (
-            "; fork workers through repro.parallel (WorkerPool stripes "
-            "deterministically and contains crashes)"
-        )
-        out: List[Violation] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in _MP_MODULES or alias.name.startswith(
-                        "multiprocessing."
-                    ):
-                        out.append(
-                            self.violation(
-                                node, relpath,
-                                f"import of {alias.name} outside "
-                                "repro/parallel/" + remedy,
-                            )
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module in _MP_MODULES or module.startswith(
-                    "multiprocessing."
-                ):
-                    out.append(
-                        self.violation(
-                            node, relpath,
-                            f"import from {module} outside repro/parallel/"
-                            + remedy,
-                        )
-                    )
-        return out
-
-    def _shm_lifetime(self, tree: ast.AST, relpath: str) -> List[Violation]:
-        creations = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and _terminal_name(node.func) == "SharedMemory"
-            and any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-        ]
-        if not creations:
-            return []
-        scopes = _enclosing_scopes(tree)
-        out: List[Violation] = []
-        for creation in creations:
-            # The narrowest class scope containing the creation (falling
-            # back to function, then module) must also unlink on a
-            # finally path — SnapshotArena's create-in-__init__ /
-            # unlink-in-destroy split stays one lexical unit.
-            enclosing = [
-                (scope, nodes)
-                for scope, nodes in scopes
-                if any(node is creation for node in nodes)
-            ]
-            classes = [s for s in enclosing if isinstance(s[0], ast.ClassDef)]
-            unit = classes[-1] if classes else enclosing[0]
-            if not self._unlinks_in_finally(unit[0]):
-                out.append(
-                    self.violation(
-                        creation, relpath,
-                        "SharedMemory segment created without a "
-                        "finally-path unlink() in the owning scope; a "
-                        "crashed run leaks the /dev/shm segment",
-                    )
-                )
-        return out
-
-    @staticmethod
-    def _unlinks_in_finally(scope: ast.AST) -> bool:
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Try) or not node.finalbody:
-                continue
-            for final_stmt in node.finalbody:
-                for inner in ast.walk(final_stmt):
-                    if (
-                        isinstance(inner, ast.Call)
-                        and isinstance(inner.func, ast.Attribute)
-                        and inner.func.attr == "unlink"
-                    ):
-                        return True
-        return False
-
-
-# ----------------------------------------------------------------------
 # THR004
 # ----------------------------------------------------------------------
 
@@ -987,7 +837,6 @@ ALL_RULES: List[Type[Rule]] = [
     SequentialScanRule,
     CoreAPIRule,
     PerEdgeBoxingRule,
-    ProcessDisciplineRule,
     ThreadSocketDisciplineRule,
     NestedScanRule,
     UnboundedScanLoopRule,

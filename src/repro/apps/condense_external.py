@@ -36,7 +36,6 @@ def condense_to_disk(
     out_path: Optional[str] = None,
     memory: Optional[MemoryModel] = None,
     deduplicate: bool = True,
-    workers: int = 0,
 ) -> DiskGraph:
     """Build the condensation of ``graph`` as a new on-disk graph.
 
@@ -55,10 +54,6 @@ def condense_to_disk(
     deduplicate:
         Collapse parallel inter-SCC edges (the usual condensation);
         switch off to keep multiplicities.
-    workers:
-        Forwarded to :func:`repro.io.extsort.external_sort_edges` —
-        parallel run formation for the dedup sort, identical bytes and
-        counted I/O either way.
 
     Returns
     -------
@@ -98,8 +93,7 @@ def condense_to_disk(
 
     # --- pass 2: external sort groups duplicates adjacently.
     sorted_file = external_sort_edges(
-        mapped, order="source", memory=memory, out_path=out_path + ".sorted",
-        workers=workers,
+        mapped, order="source", memory=memory, out_path=out_path + ".sorted"
     )
     mapped.unlink()
 

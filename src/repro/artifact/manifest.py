@@ -32,11 +32,15 @@ MANIFEST_SCHEMA_VERSION = 1
 
 
 def partition_fingerprint(labels: "np.ndarray") -> str:
-    """SHA-256 over the canonicalised (order-independent) SCC labels.
+    """SHA-256 over the canonicalised SCC labels.
 
-    The same fingerprint the bench-regression gate pins: labels are
-    relabelled by first appearance, so any labelling of the same
-    partition hashes identically.
+    The same fingerprint the bench-regression gate pins.  Labels are
+    relabelled by :func:`~repro.core.base.canonicalize_labels`, which
+    ranks them by sorted label *value*, not by first appearance: two
+    labellings of one partition hash identically only when their label
+    values are in the same order (e.g. two runs of one algorithm, or
+    labels that are already contiguous the same way).  Tarjan's labels
+    and 1P-SCC's, for instance, can hash differently.
     """
     from repro.core.base import canonicalize_labels
 

@@ -86,9 +86,6 @@ class ReproduceConfig:
     keep_work: bool = False
     #: Only recompute + verify artifacts from existing cell results.
     verify_only: bool = False
-    #: Scan worker processes per cell (0 = serial).  Results and the
-    #: manifest are byte-identical either way (see repro.parallel).
-    workers: int = 0
 
 
 class _Progress:
@@ -241,7 +238,6 @@ def _run_cell(
         fault_plan=config.fault_cells.get(case.cell_id),
         checkpoint_dir=checkpoint_dir,
         resume=True,  # a fresh cell has no checkpoint; a crashed one does
-        workers=config.workers,
     )
     cell: Dict[str, object] = {
         "cell_id": case.cell_id,

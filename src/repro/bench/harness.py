@@ -81,7 +81,6 @@ def run_one(
     metrics: Optional[MetricsRegistry] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    workers: int = 0,
 ) -> BenchRecord:
     """Run one algorithm on one in-memory workload graph.
 
@@ -107,9 +106,7 @@ def run_one(
     this requires a *persistent* ``workdir``, since checkpoints
     reference the materialised edge file and reduction scratch living
     there (the reproduce runner keeps one workdir per sweep cell for
-    exactly this reason).  ``workers`` forks that many scan worker
-    processes (byte-identical results; echoed into ``params`` when
-    nonzero so parallel records are self-describing).
+    exactly this reason).
     """
     algo = _resolve(algorithm)
     run_params = dict(params or {})
@@ -121,8 +118,6 @@ def run_one(
         run_params.setdefault("kernels", kernels)
     if fault_plan:
         run_params.setdefault("fault_plan", fault_plan)
-    if workers:
-        run_params.setdefault("workers", workers)
     record = BenchRecord(
         algorithm=algo.name, workload=workload, status="ok", params=run_params
     )
@@ -158,7 +153,6 @@ def run_one(
                 metrics=metrics,
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
-                workers=workers,
             )
             record.seconds = result.stats.wall_seconds
             record.ios = result.stats.io.total

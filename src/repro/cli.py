@@ -165,16 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
                               "never as block reads (0 disables)")
     compute.add_argument("--kernels", choices=["vector", "scalar"],
                          default="vector",
-                         help="scan-kernel backend: 'vector' classifies "
-                              "edge batches against an Euler-tour tree "
-                              "snapshot, 'scalar' runs the paper-literal "
+                         help="scan-kernel backend: 'vector' answers "
+                              "ancestor tests from live Euler-tour tree "
+                              "labels, 'scalar' runs the paper-literal "
                               "per-edge loops; results and counted I/O "
                               "are identical either way")
-    compute.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="stripe edge-scan batches across N forked "
-                              "worker processes (0 disables); partitions, "
-                              "iterations and counted I/O are "
-                              "byte-identical to a serial run")
     compute.add_argument("--profile", default=None, metavar="PATH",
                          help="profile the run with cProfile and dump "
                               "pstats data to PATH (inspect with "
@@ -248,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fault-plan", default=None,
                        help="deterministic fault spec applied to "
                             "(re)build I/O")
-    serve.add_argument("--build-workers", type=int, default=0,
-                       help="sharded-scan worker processes for builds")
     serve.add_argument("--rebuild-time-limit", type=float, default=None)
     serve.add_argument("--seed", type=int, default=0,
                        help="GRAIL traversal seed")
@@ -322,10 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     repro.add_argument("--keep-work", action="store_true",
                        help="keep per-cell work/checkpoint dirs after "
                             "success (debugging)")
-    repro.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="run every cell with N scan worker processes "
-                            "(0 disables); the manifest is unchanged — "
-                            "parallel runs are byte-identical to serial")
 
     report = sub.add_parser(
         "report", help="render a run trace written by 'compute --trace'"
@@ -506,7 +495,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
                 metrics=registry,
-                workers=args.workers,
             )
         finally:
             if profiler is not None:
@@ -552,10 +540,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         print(f"faults:      {result.stats.io.faults_injected:,} injected, "
               f"{result.stats.io.io_retries:,} blocks retried "
               f"(retries not charged as block I/O)")
-    if result.stats.extras.get("workers"):
-        fallbacks = result.stats.extras.get("parallel_fallbacks", 0)
-        print(f"workers:     {result.stats.extras['workers']} scan "
-              f"processes, {fallbacks} crash fallback(s)")
     if "resumed_from_boundary" in result.stats.extras:
         print(f"resumed:     from scan boundary "
               f"{result.stats.extras['resumed_from_boundary']}")
@@ -657,7 +641,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rebuild_time_limit=args.rebuild_time_limit,
         service_root=args.service_root,
         fault_plan=args.fault_plan,
-        workers=args.build_workers,
         seed=args.seed,
         auto_rebuild=not args.no_auto_rebuild,
     )
@@ -878,7 +861,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         time_limit=args.time_limit,
         block_size=args.block_size,
         keep_work=args.keep_work,
-        workers=args.workers,
     ))
 
 

@@ -143,7 +143,13 @@ class SCCResult:
 
 
 def canonicalize_labels(labels: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Relabel to contiguous ``0 .. k - 1`` by first appearance."""
+    """Relabel to contiguous ``0 .. k - 1`` by sorted label value.
+
+    Label ``x`` becomes its rank among the distinct labels
+    (``np.unique`` order), so ``[5, 2, 5]`` becomes ``[1, 0, 1]`` —
+    not the first-appearance ``[0, 1, 0]``.  Every golden partition
+    fingerprint depends on exactly this mapping.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     unique, inverse = np.unique(labels, return_inverse=True)
     return inverse.astype(np.int64), int(unique.size)
@@ -164,8 +170,6 @@ class SCCAlgorithm(ABC):
     _run_counter: Optional[IOCounter] = None
     _metrics: Optional[MetricsRegistry] = None
     _metrics_block_size: int = 0
-    #: Parallel scan executor (``workers > 0``); ``None`` = serial scans.
-    _parallel: Optional[object] = None
 
     def run(
         self,
@@ -180,7 +184,6 @@ class SCCAlgorithm(ABC):
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        workers: int = 0,
     ) -> SCCResult:
         """Compute all SCCs of ``graph``.
 
@@ -218,8 +221,8 @@ class SCCAlgorithm(ABC):
 
         kernels:
             Scan-kernel backend for the per-batch edge classification:
-            ``"vector"`` (default; snapshot-vectorised with an
-            Euler-tour ancestor oracle) or ``"scalar"`` (the
+            ``"vector"`` (default; O(1) ancestor tests against live
+            Euler-tour labels) or ``"scalar"`` (the
             paper-literal per-edge loops).  Both backends make
             identical decisions, so labels, iteration counts and
             counted I/O do not depend on the choice — only CPU time
@@ -256,18 +259,6 @@ class SCCAlgorithm(ABC):
             only *read* event arguments — counted I/O and the computed
             partition are byte-identical with metrics on or off (the
             bench-regression gate enforces this).
-        workers:
-            When positive, fork this many scan worker processes and
-            stripe edge-scan batches across them (see
-            :mod:`repro.parallel`).  Workers classify against a
-            shared-memory snapshot and the main process merges their
-            results in batch order, so partitions, iteration counts and
-            counted I/O are byte-identical to a serial run — the
-            bench-regression gate re-runs its golden cases with
-            ``--workers N`` to enforce exactly that.  A worker crash
-            (real or planted via ``worker-crash@K`` in the fault plan)
-            falls back to in-process classification for the affected
-            stripes, tallied in the ``parallel_fallbacks`` extra.
 
         Both policies are installed on the graph's edge file for the
         duration of the run and restored afterwards, so sequential runs
@@ -285,24 +276,6 @@ class SCCAlgorithm(ABC):
         if plan is None:
             plan = FaultPlan.from_env()
         injector = FaultInjector(plan) if plan is not None else None
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
-        parallel_ctx = None
-        if workers > 0:
-            # Lazy import: serial runs never pay for multiprocessing, and
-            # core modules stay free of repro.parallel dependencies.
-            from repro.kernels.vector import VectorKernels
-            from repro.parallel import ParallelContext, ParallelKernels
-
-            parallel_ctx = ParallelContext(
-                workers, graph.num_nodes, metrics=metrics, injector=injector
-            )
-            # Swap in the bundle-consuming kernels only when the caller
-            # left kernel choice to us (name/None): an explicit instance
-            # is honoured, and scalar kernels still benefit from the
-            # frozen-map rewrite fan-out, which is kernel-independent.
-            if not isinstance(kernels, ScanKernels) and type(kernel) is VectorKernels:
-                kernel = ParallelKernels(parallel_ctx)
         session: Optional[CheckpointSession] = None
         loaded: Optional[LoadedCheckpoint] = None
         if checkpoint_dir is not None:
@@ -356,8 +329,6 @@ class SCCAlgorithm(ABC):
             run_attributes["cache_blocks"] = cache_blocks
         if plan is not None:
             run_attributes["fault_plan"] = plan.to_spec()
-        if workers:
-            run_attributes["workers"] = workers
         if loaded is not None:
             run_attributes["resumed_from_boundary"] = loaded.boundary
         previous_injector = graph.counter.fault_injector
@@ -367,7 +338,6 @@ class SCCAlgorithm(ABC):
         self._run_counter = graph.counter
         self._metrics = metrics
         self._metrics_block_size = graph.block_size
-        self._parallel = parallel_ctx
         # The metrics observer goes on *before* the tracer attaches so
         # the tracer chains events through to it (Tracer.attach forwards
         # to the prior observer) — installed here, removed in `finally`.
@@ -419,8 +389,6 @@ class SCCAlgorithm(ABC):
                         graph, memory, deadline, tracer, kernel
                     )
         finally:
-            if parallel_ctx is not None:
-                parallel_ctx.close()
             graph.counter.fault_injector = previous_injector
             graph.edge_file.cache = previous_cache
             graph.edge_file.prefetch_depth = previous_depth
@@ -441,7 +409,6 @@ class SCCAlgorithm(ABC):
             self._run_counter = None
             self._metrics = None
             self._metrics_block_size = 0
-            self._parallel = None
         labels, num_sccs = canonicalize_labels(labels)
         if tracer.enabled:
             per_iteration_io = iteration_io(tracer.spans[spans_before:])
@@ -455,13 +422,6 @@ class SCCAlgorithm(ABC):
         if session is not None:
             extras.setdefault("checkpoint_boundaries", session.boundaries_saved)
             session.complete()
-        if parallel_ctx is not None:
-            # Extras only — none of these feed the result fingerprint, so
-            # a crashed worker's fallback count never perturbs the gate.
-            extras.setdefault("workers", workers)
-            extras.setdefault("parallel_batches", parallel_ctx.pool.batches)
-            extras.setdefault("parallel_fallbacks", parallel_ctx.fallbacks)
-            extras.setdefault("parallel_stale_bundles", parallel_ctx.stale_bundles)
         stats = RunStats(
             algorithm=self.name,
             iterations=iterations,
@@ -486,27 +446,6 @@ class SCCAlgorithm(ABC):
         kernel: ScanKernels,
     ) -> Tuple[np.ndarray, int, List[IterationStats], Dict[str, object]]:
         """Algorithm body: return ``(labels, iterations, per_iter, extras)``."""
-
-    # ------------------------------------------------------------------
-    # parallel scan plumbing for subclasses
-    # ------------------------------------------------------------------
-    def _scan_stream(self, kernel, batches, kind="classify", publish=None):
-        """Yield ``(batch, bundle)`` pairs for a classification scan.
-
-        When the run has a parallel context *and* the kernel understands
-        worker bundles (``parallel_ready``), batches are striped across
-        the worker pool and each is yielded with its precomputed verdict
-        bundle (or ``None`` after a worker crash).  Otherwise this
-        degenerates to the serial scan with ``bundle=None`` — same
-        batches, same order, same counted reads — so algorithm loops are
-        written once against the ``(batch, bundle)`` shape.
-        """
-        ctx = self._parallel
-        if ctx is not None and getattr(kernel, "parallel_ready", False):
-            return ctx.classify(batches, kind=kind, publish=publish)
-        # Serial path: ``publish`` is a ParallelKernels affordance; plain
-        # kernels refresh their oracle inside the scan itself.
-        return ((batch, None) for batch in batches)
 
     # ------------------------------------------------------------------
     # observability hooks for subclasses

@@ -16,7 +16,7 @@ exactly the SCCs.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,17 +49,6 @@ class _DFSTree:
         self.children: List[Dict[int, None]] = [dict() for _ in range(n)]
         self.roots: Dict[int, None] = {int(v): None for v in order}
         self.pre[order] = np.arange(n, dtype=np.int64)
-        #: Snapshot support for the Euler-tour ancestor oracle (same
-        #: contract as :class:`~repro.spanning.tree.ContractibleTree`):
-        #: ``epoch`` versions the structure, ``dirty`` marks nodes whose
-        #: root path or depth changed since the last oracle rebuild.
-        self.epoch = 0
-        self.dirty = np.zeros(n, dtype=bool)
-        self.track_dirty = False
-
-    def oracle_roots(self) -> Iterator[int]:
-        """Roots of the forest, for oracle rebuild traversals."""
-        return iter(self.roots)
 
     # ------------------------------------------------------------------
     def is_ancestor(self, a: int, d: int) -> bool:
@@ -96,16 +85,6 @@ class _DFSTree:
             while stack:
                 node = stack.pop()
                 self.depth[node] += delta
-                stack.extend(self.children[node])
-        # Only the moved subtree's root paths changed; ``u`` keeps its
-        # own path and depth, so it stays clean for the oracle.
-        self.epoch += 1
-        if self.track_dirty:
-            dirty = self.dirty
-            stack = [v]
-            while stack:
-                node = stack.pop()
-                dirty[node] = True
                 stack.extend(self.children[node])
 
     def assign_preorder(self, pivot: int = 0) -> None:
@@ -216,7 +195,6 @@ def build_dfs_tree(
     kernel: Optional[ScanKernels] = None,
     boundary: Optional[Callable[[_DFSTree, int, bool], None]] = None,
     resume: Optional[Tuple[_DFSTree, int, bool]] = None,
-    stream: Optional[Callable] = None,
 ) -> Tuple[_DFSTree, int]:
     """Paper Algorithm 1: DFS tree by forward-cross-edge elimination.
 
@@ -229,10 +207,7 @@ def build_dfs_tree(
     with ``(tree, iterations, updated)`` — the checkpoint/crash hook.
     ``resume`` restarts the loop from a restored
     ``(tree, iterations, updated)`` snapshot (``order`` is then ignored:
-    the snapshot embeds the root and children order).  ``stream`` is
-    :meth:`SCCAlgorithm._scan_stream` — the parallel ``(batch, bundle)``
-    fan-out (DFS bundles are keyed on raw node ids, so no root mapping
-    is involved).
+    the snapshot embeds the root and children order).
     """
     kernel = kernel if kernel is not None else resolve_kernels()
     if resume is not None:
@@ -254,22 +229,10 @@ def build_dfs_tree(
             "dfs-scan", iteration=iterations + iteration_offset
         ):
             edges_classified = 0
-            if stream is not None:
-                batches = stream(
-                    kernel, graph.scan_edges(), "dfs",
-                    lambda: kernel.publish_snapshot(tree),
-                )
-            else:
-                batches = ((batch, None) for batch in graph.scan_edges())
-            for batch, bundle in batches:
+            for batch in graph.scan_edges():
                 deadline.check()
                 edges_classified += batch.shape[0]
-                if bundle is None:
-                    moved = kernel.dfs_scan(tree, batch, deadline)
-                else:
-                    moved = kernel.dfs_scan(
-                        tree, batch, deadline, bundle=bundle
-                    )
+                moved = kernel.dfs_scan(tree, batch, deadline)
                 if moved:
                     updated = True
                     reparents += moved
@@ -337,7 +300,6 @@ class DFSSCC(SCCAlgorithm):
                         if self._boundary_active else None
                     ),
                     resume=pass_resume,
-                    stream=self._scan_stream,
                 )
             decreasing_post = first_tree.postorder()[::-1]
             second_resume: Optional[Tuple[_DFSTree, int, bool]] = None
@@ -377,7 +339,6 @@ class DFSSCC(SCCAlgorithm):
                         if self._boundary_active else None
                     ),
                     resume=second_resume,
-                    stream=self._scan_stream,
                 )
             labels = second_tree.root_subtree_labels()
         except SimulatedCrash:

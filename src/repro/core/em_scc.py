@@ -259,28 +259,11 @@ class EMSCC(SCCAlgorithm):
         tracer: Tracer = NULL_TRACER,
     ) -> Tuple[EdgeFile, bool]:
         """Compress the on-disk graph after a contraction pass."""
-        ctx = self._parallel
 
         def batches() -> Iterator[np.ndarray]:
-            if ctx is not None:
-                # The union-find is frozen for this scan: publish its
-                # resolved root map once and let workers map and drop
-                # self-loops (no liveness filter in the EM rewrite).
-                n = live.shape[0]
-                root = ds.find_many(np.arange(n, dtype=np.int64))
-                stream = ctx.map_frozen(
-                    current.scan(), root=root, live=None, check_live=False
-                )
-            else:
-                stream = ((batch, None) for batch in current.scan())
-            for batch, mapped in stream:
+            for batch in current.scan():
                 if deadline is not None:
                     deadline.check()
-                if mapped is not None:
-                    us, vs = mapped["us"], mapped["vs"]
-                    if us.size:
-                        yield np.column_stack((us, vs)).astype(NODE_DTYPE)
-                    continue
                 us = ds.find_many(batch[:, 0].astype(np.int64))
                 vs = ds.find_many(batch[:, 1].astype(np.int64))
                 keep = us != vs
@@ -292,9 +275,6 @@ class EMSCC(SCCAlgorithm):
             for batch in batches():
                 reduced.append(batch)
             reduced.flush()
-            if ctx is not None:
-                for key, value in ctx.drain_counters().items():
-                    tracer.add(key, value)
         if owns_current:
             # Checkpoint-safe disposal: the last durable checkpoint may
             # still reference this file (see _retire_scratch).

@@ -140,26 +140,15 @@ class OnePhaseSCC(SCCAlgorithm):
                     pushdowns = 0
                     with tracer.span("edge-scan", iteration=iteration):
                         edges_classified = 0
-                        for batch, bundle in self._scan_stream(
-                            kernel, current.scan(), "classify",
-                            publish=lambda: kernel.publish_snapshot(tree),
-                        ):
+                        for batch in current.scan():
                             deadline.check()
-                            pairs, keepidx = self._candidates_idx(tree, batch)
+                            pairs = self._candidates(tree, batch)
                             if pairs.shape[0] == 0:
                                 continue
                             edges_classified += pairs.shape[0]
-                            if bundle is None:
-                                accepts, pushed, biggest = (
-                                    kernel.one_phase_scan(tree, pairs)
-                                )
-                            else:
-                                accepts, pushed, biggest = (
-                                    kernel.one_phase_scan(
-                                        tree, pairs,
-                                        bundle=bundle, keepidx=keepidx,
-                                    )
-                                )
+                            accepts, pushed, biggest = kernel.one_phase_scan(
+                                tree, pairs
+                            )
                             early_accepts += accepts
                             pushdowns += pushed
                             if accepts or pushed:
@@ -243,32 +232,21 @@ class OnePhaseSCC(SCCAlgorithm):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _candidates_idx(
-        tree: ContractibleTree, batch: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def _candidates(tree: ContractibleTree, batch: np.ndarray) -> np.ndarray:
         """Map a raw edge batch to live cycle-candidate supernode pairs.
 
         Returns a ``(k, 2)`` int64 array of the ``(u, v)`` pairs with
         ``depth(u) >= depth(v)`` — the only edges that can be backward
-        or up-edges — plus the surviving *raw row indices* (``None``
-        when empty), which lets the parallel kernels align a worker's
-        per-raw-edge verdict bundle with the filtered pairs.  Staying an
-        array (no per-edge tuple boxing) keeps the pairs consumable by
-        the vectorised kernels as-is.
+        or up-edges.  Staying an array (no per-edge tuple boxing) keeps
+        the pairs consumable by the vectorised kernels as-is.
         """
         us = tree.find_many(batch[:, 0].astype(np.int64))
         vs = tree.find_many(batch[:, 1].astype(np.int64))
         keep = (us != vs) & tree.live[us] & tree.live[vs]
         keep &= tree.depth[us] >= tree.depth[vs]
         if not keep.any():
-            return np.empty((0, 2), dtype=np.int64), None
-        keepidx = np.flatnonzero(keep)
-        return np.column_stack((us[keepidx], vs[keepidx])), keepidx
-
-    @staticmethod
-    def _candidates(tree: ContractibleTree, batch: np.ndarray) -> np.ndarray:
-        """The pairs of :meth:`_candidates_idx` without the index column."""
-        return OnePhaseSCC._candidates_idx(tree, batch)[0]
+            return np.empty((0, 2), dtype=np.int64)
+        return np.column_stack((us[keep], vs[keep]))
 
     @staticmethod
     def _early_rejection(
@@ -322,35 +300,17 @@ class OnePhaseSCC(SCCAlgorithm):
 
         reduced = graph.derive_edge_file(f"work{iteration}")
         depth = tree.depth
-        ctx = self._parallel
         with tracer.span("reduce-scan", iteration=iteration):
-            if ctx is not None:
-                # The tree is frozen for this scan, so publish the fully
-                # resolved root map once and let workers do the mapping
-                # and filtering; endpoints come back identical to the
-                # local find_many path (find values are scan-invariant).
-                root = tree.find_many(np.arange(tree.n, dtype=np.int64))
-                stream = ctx.map_frozen(
-                    current.scan(), root=root, live=tree.live
-                )
-            else:
-                stream = ((batch, None) for batch in current.scan())
-            for batch, mapped in stream:
+            for batch in current.scan():
                 if deadline is not None:
                     deadline.check()
-                if mapped is not None:
-                    us = mapped["us"]
-                    vs = mapped["vs"]
-                    if us.size == 0:
-                        continue
-                else:
-                    us = tree.find_many(batch[:, 0].astype(np.int64))
-                    vs = tree.find_many(batch[:, 1].astype(np.int64))
-                    keep = (us != vs) & tree.live[us] & tree.live[vs]
-                    if not keep.any():
-                        continue
-                    us = us[keep]
-                    vs = vs[keep]
+                us = tree.find_many(batch[:, 0].astype(np.int64))
+                vs = tree.find_many(batch[:, 1].astype(np.int64))
+                keep = (us != vs) & tree.live[us] & tree.live[vs]
+                if not keep.any():
+                    continue
+                us = us[keep]
+                vs = vs[keep]
                 candidate = depth[us] >= depth[vs]
                 if candidate.any():
                     # Per-batch (not per-edge) reductions of the window.
@@ -362,9 +322,6 @@ class OnePhaseSCC(SCCAlgorithm):
                         drank_max = hi
                 reduced.append(np.column_stack((us, vs)).astype(NODE_DTYPE))
             reduced.flush()
-            if ctx is not None:
-                for key, value in ctx.drain_counters().items():
-                    tracer.add(key, value)
         if owns_current:
             # Checkpoint-safe disposal: the last durable checkpoint may
             # still reference this file (see _retire_scratch).

@@ -403,33 +403,17 @@ class OnePhaseBatchSCC(SCCAlgorithm):
         drank_max = np.iinfo(np.int64).min
 
         reduced = graph.derive_edge_file(f"bwork{iteration}")
-        ctx = self._parallel
         with tracer.span("reduce-scan", iteration=iteration):
-            if ctx is not None:
-                # Arrays are frozen for this scan: publish the resolved
-                # root map once, let workers map and filter (values are
-                # identical to the local find_many path).
-                n = live.shape[0]
-                root = ds.find_many(np.arange(n, dtype=np.int64))
-                stream = ctx.map_frozen(current.scan(), root=root, live=live)
-            else:
-                stream = ((batch, None) for batch in current.scan())
-            for batch, mapped in stream:
+            for batch in current.scan():
                 if deadline is not None:
                     deadline.check()
-                if mapped is not None:
-                    us = mapped["us"]
-                    vs = mapped["vs"]
-                    if us.size == 0:
-                        continue
-                else:
-                    us = ds.find_many(batch[:, 0].astype(np.int64))
-                    vs = ds.find_many(batch[:, 1].astype(np.int64))
-                    keep = (us != vs) & live[us] & live[vs]
-                    if not keep.any():
-                        continue
-                    us = us[keep]
-                    vs = vs[keep]
+                us = ds.find_many(batch[:, 0].astype(np.int64))
+                vs = ds.find_many(batch[:, 1].astype(np.int64))
+                keep = (us != vs) & live[us] & live[vs]
+                if not keep.any():
+                    continue
+                us = us[keep]
+                vs = vs[keep]
                 candidate = depth[us] >= depth[vs]
                 if candidate.any():
                     # Per-batch (not per-edge) reductions of the window.
@@ -441,9 +425,6 @@ class OnePhaseBatchSCC(SCCAlgorithm):
                         drank_max = hi
                 reduced.append(np.column_stack((us, vs)).astype(NODE_DTYPE))
             reduced.flush()
-            if ctx is not None:
-                for key, value in ctx.drain_counters().items():
-                    tracer.add(key, value)
         if owns_current:
             # Checkpoint-safe disposal: the last durable checkpoint may
             # still reference this file (see _retire_scratch).

@@ -119,7 +119,6 @@ def tree_search(
     tracer: Tracer = NULL_TRACER,
     scan_index: int = 1,
     kernel: Optional[ScanKernels] = None,
-    stream: Optional[Callable] = None,
 ) -> int:
     """Paper Algorithm 5: contract backward-edge paths in one scan.
 
@@ -129,12 +128,6 @@ def tree_search(
     single edge scan is traced as a ``search-scan`` span (numbered
     ``scan_index`` so it lines up with the run's iteration record)
     under one ``tree-search`` span.
-
-    ``stream``, when given, is :meth:`SCCAlgorithm._scan_stream` — the
-    parallel executor's ``(batch, bundle)`` fan-out.  Tree-Construction
-    scans stay serial by design (each batch's pushdowns reshape what the
-    next batch classifies, leaving no precomputable verdicts), so 2P's
-    parallelism lives entirely in this search scan.
     """
     kernel = kernel if kernel is not None else resolve_kernels()
     with tracer.span("tree-search"):
@@ -152,29 +145,16 @@ def tree_search(
         contractions = 0
         with tracer.span("search-scan", iteration=scan_index):
             edges_classified = 0
-            if stream is not None:
-                batches = stream(
-                    kernel, graph.scan_edges(), "classify",
-                    lambda: kernel.publish_snapshot(tree),
-                )
-            else:
-                batches = ((batch, None) for batch in graph.scan_edges())
-            for batch, bundle in batches:
+            for batch in graph.scan_edges():
                 deadline.check()
                 us = tree.find_many(batch[:, 0].astype(np.int64))
                 vs = tree.find_many(batch[:, 1].astype(np.int64))
                 keep = (us != vs) & (tree.depth[vs] < tree.depth[us])
                 if not keep.any():
                     continue
-                keepidx = np.flatnonzero(keep)
-                pairs = np.column_stack((us[keepidx], vs[keepidx]))
+                pairs = np.column_stack((us[keep], vs[keep]))
                 edges_classified += pairs.shape[0]
-                if bundle is None:
-                    contractions += kernel.search_scan(tree, pairs)
-                else:
-                    contractions += kernel.search_scan(
-                        tree, pairs, bundle=bundle, keepidx=keepidx
-                    )
+                contractions += kernel.search_scan(tree, pairs)
             tracer.add("contractions", contractions)
             tracer.add("edges-classified", edges_classified)
             for key, value in kernel.drain_counters().items():
@@ -245,7 +225,6 @@ class TwoPhaseSCC(SCCAlgorithm):
             search_scans = tree_search(
                 graph, tree, deadline, tracer=tracer,
                 scan_index=construction_scans + 1, kernel=kernel,
-                stream=self._scan_stream,
             )
             self._note_progress(
                 construction_scans + search_scans, n, graph.num_edges

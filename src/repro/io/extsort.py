@@ -103,88 +103,11 @@ def _merge_pair(
     out.flush()
 
 
-def _write_run(
-    keys: np.ndarray,
-    index: int,
-    out_path: str,
-    source: EdgeFile,
-    target_major: bool,
-) -> EdgeFile:
-    """Materialise one sorted run; all writes flow through the counter."""
-    run = EdgeFile.create(
-        f"{out_path}.run{index}",
-        counter=source.counter,
-        block_size=source.block_size,
-    )
-    run.append(_unpack(keys, target_major))
-    run.flush()
-    return run
-
-
-def _form_runs_parallel(
-    source: EdgeFile,
-    out_path: str,
-    target_major: bool,
-    run_blocks: int,
-    workers: int,
-) -> List[EdgeFile]:
-    """Run formation with the pack-and-sort shipped to a worker pool.
-
-    The main process keeps every counted transfer: it reads input
-    batches (in scan order) and writes runs (in batch order); workers
-    only ever see in-memory edge arrays and return sorted key arrays.
-    Run *contents* are therefore byte-identical to the serial path, and
-    so is the counted I/O total — only the interleaving of reads and
-    writes differs (reads lead by the lookahead window).  A worker crash
-    falls back to sorting that batch in-process.
-    """
-    from repro.parallel.pool import WorkerPool
-
-    runs: List[EdgeFile] = []
-    pool = WorkerPool(workers, arena_name=None, n=0)
-    try:
-        lookahead = max(2, 2 * workers)
-        scan = source.scan(batch_blocks=run_blocks)
-        batches: dict = {}  # seq -> batch, retained for crash fallback
-        next_submit = 0
-        next_write = 0
-        exhausted = False
-        while True:
-            while not exhausted and next_submit - next_write < lookahead:
-                batch = next(scan, None)
-                if batch is None:
-                    exhausted = True
-                    break
-                batches[next_submit] = batch
-                pool.submit(
-                    next_submit,
-                    "sort",
-                    {"batch": batch, "target_major": target_major},
-                )
-                next_submit += 1
-            if next_write == next_submit:
-                break
-            bundle = pool.collect(next_write)
-            batch = batches.pop(next_write)
-            if bundle is None:
-                keys = np.sort(_pack(batch, target_major), kind="stable")
-            else:
-                keys = bundle["keys"]
-            runs.append(
-                _write_run(keys, next_write, out_path, source, target_major)
-            )
-            next_write += 1
-    finally:
-        pool.close()
-    return runs
-
-
 def external_sort_edges(
     source: EdgeFile,
     order: str = "source",
     memory: Optional[MemoryModel] = None,
     out_path: Optional[str] = None,
-    workers: int = 0,
 ) -> EdgeFile:
     """Sort an edge file externally; return a new sorted :class:`EdgeFile`.
 
@@ -202,12 +125,6 @@ def external_sort_edges(
         model with capacity for 64 blocks.
     out_path:
         Path of the sorted output (default: ``source.path + ".sorted"``).
-    workers:
-        When positive, run formation ships each batch's pack-and-sort to
-        that many forked workers (see :mod:`repro.parallel`); the merge
-        stays single-streamed so every block transfer remains counted in
-        order.  Output bytes and counted I/O totals are identical to a
-        serial sort.
     """
     if order not in ("source", "target"):
         raise ValueError("order must be 'source' or 'target'")
@@ -225,17 +142,17 @@ def external_sort_edges(
     # ------------------------------------------------------------------
     # Phase 1: run formation.
     # ------------------------------------------------------------------
-    if workers > 0:
-        runs = _form_runs_parallel(
-            source, out_path, target_major, run_blocks, workers
+    runs: List[EdgeFile] = []
+    for index, batch in enumerate(source.scan(batch_blocks=run_blocks)):
+        keys = np.sort(_pack(batch, target_major), kind="stable")
+        run = EdgeFile.create(
+            f"{out_path}.run{index}",
+            counter=source.counter,
+            block_size=source.block_size,
         )
-    else:
-        runs = []
-        for index, batch in enumerate(source.scan(batch_blocks=run_blocks)):
-            keys = np.sort(_pack(batch, target_major), kind="stable")
-            runs.append(
-                _write_run(keys, index, out_path, source, target_major)
-            )
+        run.append(_unpack(keys, target_major))
+        run.flush()
+        runs.append(run)
 
     if not runs:
         return EdgeFile.create(

@@ -30,11 +30,6 @@ Plans are parsed from a compact spec string (CLI ``--fault-plan`` or the
   delay is tallied in ``faults_injected``.
 * ``crash@scan:K`` — the ``K``-th scan-boundary checkpoint (0-based)
   raises :class:`SimulatedCrash` after the checkpoint is durable.
-* ``worker-crash@K`` — when scans run with ``--workers``, the scan
-  worker assigned the ``K``-th shipped batch (0-based, run-wide) is
-  killed before computing it; the affected stripes are classified
-  in-process (tallied as ``parallel_fallbacks``), and the run's answer
-  and counted I/O are unchanged.  Ignored by serial runs.
 * ``seed=S`` — seeds the retry policy's backoff jitter.
 
 Retries are governed by :class:`RetryPolicy` and surfaced in
@@ -133,7 +128,6 @@ _TOKEN_RE = re.compile(
       | slow@(?P<slow>\d+):(?P<delay>\d+)
       | tear@(?P<tear>\d+):(?P<offset>\d+)
       | crash@scan:(?P<crash>\d+)
-      | worker-crash@(?P<worker>\d+)
     )$""",
     re.VERBOSE,
 )
@@ -156,7 +150,6 @@ class FaultPlan:
     slow_reads: Dict[int, int] = field(default_factory=dict)
     tears: List[_TearSpec] = field(default_factory=list)
     crash_boundaries: List[int] = field(default_factory=list)
-    worker_crashes: List[int] = field(default_factory=list)
     seed: int = 0
 
     @classmethod
@@ -183,12 +176,9 @@ class FaultPlan:
                 plan.tears.append(
                     _TearSpec(int(match.group("tear")), int(match.group("offset")))
                 )
-            elif match.group("worker") is not None:
-                plan.worker_crashes.append(int(match.group("worker")))
             else:
                 plan.crash_boundaries.append(int(match.group("crash")))
         plan.crash_boundaries.sort()
-        plan.worker_crashes.sort()
         return plan
 
     @classmethod
@@ -228,8 +218,6 @@ class FaultPlan:
             parts.append(f"tear@{tear.ordinal}:{tear.offset}")
         for boundary in self.crash_boundaries:
             parts.append(f"crash@scan:{boundary}")
-        for stripe in self.worker_crashes:
-            parts.append(f"worker-crash@{stripe}")
         return ";".join(parts)
 
 
@@ -256,7 +244,6 @@ class FaultInjector:
         self._pending_read_failures: Dict[int, int] = dict(plan.read_errors)
         self._pending_slow_reads: Dict[int, int] = dict(plan.slow_reads)
         self._tears: Dict[int, int] = {t.ordinal: t.offset for t in plan.tears}
-        self._worker_crashes = set(plan.worker_crashes)
         #: Faults actually fired so far (for the ``faults_injected`` tally).
         self.faults_fired = 0
 
@@ -308,24 +295,6 @@ class FaultInjector:
     def record_torn_write(self) -> None:
         """Tally a fired tear (the device raises :class:`TornWriteError`)."""
         self.faults_fired += 1
-
-    # ------------------------------------------------------------------
-    # worker path
-    # ------------------------------------------------------------------
-    def take_worker_crash(self, stripe: int) -> bool:
-        """Whether the scan worker shipping stripe ``stripe`` must die.
-
-        ``worker-crash@K`` kills the worker assigned the ``K``-th
-        shipped batch (0-based, run-wide) *before* it computes that
-        batch — exercising the pool's real crash detection and
-        in-process fallback, never a wrong answer.  Consume-once, like
-        a planned read error.
-        """
-        if stripe in self._worker_crashes:
-            self._worker_crashes.discard(stripe)
-            self.faults_fired += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # crash path

@@ -9,11 +9,10 @@ objects.  Two interchangeable backends exist:
   per-edge loops with O(depth) parent-pointer ancestor walks.  This is
   the reference semantics and the one sanctioned home for per-edge
   ``int()``/``.tolist()`` boxing (static rule CPU001).
-* :class:`~repro.kernels.vector.VectorKernels` — batched edge
-  classification against a frozen tree snapshot: an epoch-cached
-  Euler-tour :class:`~repro.kernels.oracle.AncestorOracle` answers
-  every clean ancestor query with two array compares, and only edges
-  invalidated by this batch's own mutations fall back to walks.
+* :class:`~repro.kernels.vector.VectorKernels` — the same per-edge
+  decisions, with every ancestor test answered in O(1) by the trees'
+  live Euler-tour labels (:class:`~repro.kernels.oracle.AncestorOracle`)
+  and scan-frozen values gathered per batch with numpy.
 
 The contract between them is strict *decision equivalence*: for the
 same tree state and the same candidate batch, both backends make the
@@ -25,8 +24,8 @@ and the fuzz tests in ``tests/test_kernels_classify.py``).
 Kernel instances are per-run (``SCCAlgorithm.run`` resolves the
 ``kernels=`` parameter to a fresh instance), and accumulate named event
 counters which the algorithms drain into the active trace span after
-every scan (``kernel-fast-path``, ``kernel-fallbacks``,
-``oracle-rebuilds``, ``kernel-scalar-edges``).
+every scan (``kernel-fast-path``, ``oracle-rebuilds``,
+``oracle-relabels``, ``kernel-scalar-edges``).
 """
 
 from __future__ import annotations
@@ -47,9 +46,7 @@ class ScanKernels:
 
     Subclasses implement one method per scan-loop shape.  ``tree``
     parameters are duck-typed where noted: the DFS kernels accept the
-    private ``_DFSTree`` of :mod:`repro.core.dfs_scc`, which shares the
-    snapshot contract (``epoch``/``dirty``/``oracle_roots``) with
-    :class:`~repro.spanning.tree.ContractibleTree`.
+    private ``_DFSTree`` of :mod:`repro.core.dfs_scc`.
     """
 
     #: Name used for ``--kernels`` resolution and run/trace attributes.

@@ -1,154 +1,232 @@
-"""Epoch-cached Euler-tour ancestor oracle.
+"""Order-maintained Euler-tour labels: a live O(1) ancestor test.
 
-The scalar ``is_ancestor(a, d)`` of the spanning structures walks parent
-pointers from ``d`` upward — O(depth) per query.  This module replaces
-the walk, for *batched* queries, with the classical Euler-tour interval
-test: a DFS over the live forest assigns each node an entry counter
-``tin`` and an exit bound ``tout`` (the counter advances on entry only),
-after which
+Every node ``x`` of a host forest owns two *tokens* — ``open(x)`` and
+``close(x)`` — kept in one linked list in Euler-tour order: a node's
+open token, then its children's token runs, then its close token.  Each
+token carries an int64 label that strictly increases along the list, so
+the classical interval test
 
     ``is_ancestor(a, d)  ⇔  tin[a] <= tin[d] < tout[a]``
 
-— two array compares, O(1) per query and trivially vectorisable.  The
-test is *ancestor-or-equal*, matching the walk's semantics
-(``is_ancestor(a, a)`` is True because ``tout[a] > tin[a]``).
+(``tin``/``tout`` being the open/close labels) answers ancestor-or-equal
+queries with two compares.  Dead nodes have
+both labels at ``-1``, which makes every test involving one False.
 
-Soundness across mutations
---------------------------
-The labels describe a snapshot.  The host trees (``ContractibleTree``,
-``BRPlusTree``, DFS-SCC's ``_DFSTree``) version their structure with an
-``epoch`` counter and, once :attr:`~AncestorOracle.refresh` has switched
-``track_dirty`` on, mark every node whose root path, depth or liveness
-may have changed in a ``dirty`` bitmap.  A node left clean is guaranteed
-unchanged in all three respects, so snapshot answers involving only
-clean nodes stay valid arbitrarily long after the snapshot; the vector
-kernels fall back to the live scalar walk whenever a dirty node is
-involved.
+The labels are *live*: the host tree keeps them exact across each edit,
+the order-maintenance problem of Dietz and Sleator (1987) solved the
+way Bender et al. ("Two simplified algorithms for maintaining order in
+a list", 2002) do:
 
-Rebuild amortisation
---------------------
-Rebuilding is an O(live) Python DFS, so it must not happen per batch.
-:meth:`refresh` rebuilds only when the tree's epoch moved *and* the
-dirty population crossed ``max(rebuild_min_dirty, rebuild_fraction ×
-live)`` — between rebuilds the kernels keep serving the stale-but-clean
-snapshot and eat the dirty fallbacks, which is exactly the amortisation
-the batch sizes pay for.
+* moving a subtree (:meth:`AncestorOracle.move`) unlinks its token
+  segment and splices it right after the new parent's open token,
+  labelling it evenly inside the gap it lands in;
+* when that gap is too small, the smallest aligned label range around
+  the insertion point whose token density is under the level's
+  threshold is relabelled evenly (a *local relabel*);
+* only when no range below the whole label universe qualifies are all
+  tokens renumbered (:meth:`AncestorOracle.refresh`).
+
+Removing a node (contraction, rejection) unlinks its two tokens; the
+relative order of every other token is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 
 class AncestorOracle:
-    """Euler-tour ``tin``/``tout`` interval labels for one host tree.
+    """Live Euler-tour labels for a forest over nodes ``0 .. n - 1``.
 
-    The host is duck-typed: it must expose ``n``, ``epoch``, ``dirty``,
-    ``track_dirty``, ``parent``-driven ``children`` containers and an
-    ``oracle_roots()`` iterator over live forest roots.  Dead nodes keep
-    ``tin = tout = -1``, so every interval test involving one is
-    deterministically False.
+    Token ids: ``x`` is ``open(x)``, ``n + x`` is ``close(x)``, and two
+    sentinels ``2n``/``2n + 1`` bracket the list as the virtual root's
+    open and close tokens (labels ``0`` and ``2**label_bits``).  A fresh
+    oracle describes the star forest: every node a root, in id order.
     """
 
-    #: Rebuild when the dirty population exceeds this fraction of the
-    #: live node count.  Tuned on the fig12-style webspam stand-in
-    #: (``benchmarks/bench_kernels.py``): a rebuild is an O(live) Python
-    #: DFS (~16 ms at 26k live nodes) while every avoided dirty-chain
-    #: hop in the fallback walks is pure profit, so rebuilding eagerly
-    #: wins by a wide margin — 0.25 gave 1.04x over scalar where 0.01
-    #: gives ~9x.
-    rebuild_fraction: float = 0.01
-    #: ... but never bother re-walking the forest for fewer dirty nodes
-    #: than this (the hybrid fallbacks are cheaper).
-    rebuild_min_dirty: int = 64
+    #: Labels live in ``[0, 2**label_bits]``; 62 bits keep every label
+    #: arithmetic step inside int64.
+    label_bits: int = 62
+    #: Overflow base ``T`` of Bender et al.: a range of ``2**i`` labels
+    #: may hold at most ``(2 / T)**i`` tokens after a local relabel.
+    density_base: float = 1.5
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.tin = np.full(n, -1, dtype=np.int64)
-        self.tout = np.full(n, -1, dtype=np.int64)
-        #: Tree epoch the labels were built at; ``-1`` = never built.
-        self.built_epoch = -1
-        #: Total label rebuilds (surfaced as the ``oracle-rebuilds``
-        #: kernel counter).
+        self.head = 2 * n
+        self.tail = 2 * n + 1
+        self.label = np.full(2 * n + 2, -1, dtype=np.int64)
+        #: Open-token and close-token labels (views into :attr:`label`).
+        self.tin = self.label[:n]
+        self.tout = self.label[n : 2 * n]
+        self.nxt = np.empty(2 * n + 2, dtype=np.int64)
+        self.prv = np.empty(2 * n + 2, dtype=np.int64)
+        #: Full renumbers so far (the ``oracle-rebuilds`` counter).
         self.rebuilds = 0
+        #: Tokens relabelled by local range relabels so far (the
+        #: ``oracle-relabels`` counter).
+        self.relabels = 0
+        order = np.empty(2 * n + 2, dtype=np.int64)
+        order[0] = self.head
+        order[1:-1:2] = np.arange(n, dtype=np.int64)
+        order[2:-1:2] = np.arange(n, 2 * n, dtype=np.int64)
+        order[-1] = self.tail
+        self.refresh(order)
 
     # ------------------------------------------------------------------
-    def refresh(self, tree: Any) -> bool:
-        """Bring the labels up to date if the amortisation policy says so.
+    # queries
+    # ------------------------------------------------------------------
+    def is_ancestor(self, a: int, d: int) -> bool:
+        """Scalar ancestor-or-equal test (False if either node is dead)."""
+        return bool(self.tin[a] <= self.tin[d] < self.tout[a])
 
-        Returns True when a rebuild happened.  The first call always
-        rebuilds (and switches the host's dirty tracking on); later
-        calls rebuild only once enough dirt has accumulated — see the
-        module docstring.
+    # ------------------------------------------------------------------
+    # full renumber
+    # ------------------------------------------------------------------
+    def refresh(self, order: Optional[Sequence[int]] = None) -> bool:
+        """Renumber every token evenly across the label universe.
+
+        ``order`` is the complete token sequence from the head sentinel
+        to the tail sentinel; without it the current list is walked.
+        Tokens not in the sequence (dead nodes) get label ``-1``.
+        Returns True: every call is one counted full renumber.
         """
-        epoch = tree.epoch
-        if self.built_epoch == epoch:
-            return False
-        if self.built_epoch >= 0:
-            dirty_count = int(np.count_nonzero(tree.dirty))
-            live = getattr(tree, "live", None)
-            live_count = int(np.count_nonzero(live)) if live is not None else tree.n
-            threshold = max(
-                self.rebuild_min_dirty, int(self.rebuild_fraction * live_count)
-            )
-            if dirty_count <= threshold:
-                return False
-        self._rebuild(tree)
+        if order is None:
+            order = self._run(self.head, self.tail)
+        tokens = np.asarray(order, dtype=np.int64)
+        self.nxt[tokens[:-1]] = tokens[1:]
+        self.prv[tokens[1:]] = tokens[:-1]
+        universe = 1 << self.label_bits
+        self.label.fill(-1)
+        self.label[tokens] = np.arange(tokens.size, dtype=np.int64) * (
+            universe // (tokens.size - 1)
+        )
+        self.label[self.tail] = universe
+        self.rebuilds += 1
         return True
 
-    def _rebuild(self, tree: Any) -> None:
-        tin = self.tin
-        tout = self.tout
-        tin.fill(-1)
-        tout.fill(-1)
-        children = tree.children
-        t = 0
-        # Iterative Euler DFS; ``~node`` on the stack marks the exit
-        # event for ``node`` (bitwise-not is its own inverse and keeps
-        # valid ids >= 0 distinct from markers < 0).
-        for root in tree.oracle_roots():
+    def build(self, roots: Iterable[int], children: Sequence[Iterable[int]]) -> None:
+        """Renumber from a forest given by its roots and child lists."""
+        n = self.n
+        order = [self.head]
+        for root in roots:
             stack = [root]
             while stack:
                 node = stack.pop()
                 if node < 0:
-                    tout[~node] = t
+                    order.append(n + ~node)
                     continue
-                tin[node] = t
-                t += 1
+                order.append(node)
                 stack.append(~node)
                 stack.extend(children[node])
-        tree.dirty[:] = False
-        tree.track_dirty = True
-        self.built_epoch = tree.epoch
-        self.rebuilds += 1
+        order.append(self.tail)
+        self.refresh(order)
 
     # ------------------------------------------------------------------
-    def export(self, into: Any = None) -> Any:
-        """Snapshot the labels; ``into`` reuses caller-owned buffers.
+    # edits
+    # ------------------------------------------------------------------
+    def move(self, v: int, parent: int, depth: np.ndarray, delta: int) -> None:
+        """Splice ``v``'s subtree right after ``parent``'s open token.
 
-        Without ``into`` this allocates a fresh ``(tin, tout)`` copy per
-        call — fine for one-off consumers, wasteful for a publisher that
-        re-exports every epoch.  Passing ``into=(tin_buf, tout_buf)``
-        copies into those arrays instead (any int64 buffers of length
-        ``n``, including shared-memory views — this is what the
-        :mod:`repro.parallel` snapshot publisher uses) and returns them.
+        ``parent < 0`` means the virtual root.  The same walk that
+        collects the moved segment shifts its nodes' ``depth`` by
+        ``delta``; the segment is then labelled inside its new gap,
+        relabelling around it when the gap is too small.
         """
-        if into is None:
-            return self.tin.copy(), self.tout.copy()
-        tin_buf, tout_buf = into
-        np.copyto(tin_buf, self.tin)
-        np.copyto(tout_buf, self.tout)
-        return tin_buf, tout_buf
+        n = self.n
+        nxt = self.nxt
+        prv = self.prv
+        label = self.label
+        last = n + v
+        before = prv.item(v)
+        after = nxt.item(last)
+        nxt[before] = after
+        prv[after] = before
+        segment = self._run(v, last)
+        tokens = np.asarray(segment, dtype=np.int64)
+        if delta:
+            depth[tokens[tokens < n]] += delta
+        anchor = self.head if parent < 0 else parent
+        succ = nxt.item(anchor)
+        nxt[anchor] = v
+        prv[v] = anchor
+        nxt[last] = succ
+        prv[succ] = last
+        low = label.item(anchor)
+        gap = label.item(succ) - low
+        k = tokens.size
+        if gap > k:
+            label[tokens] = low + (gap // (k + 1)) * np.arange(
+                1, k + 1, dtype=np.int64
+            )
+        else:
+            self._relabel_around(anchor, v, last, k)
+
+    def remove(self, x: int) -> None:
+        """Unlink dead node ``x``'s two tokens; its labels become -1."""
+        nxt = self.nxt
+        prv = self.prv
+        for token in (x, self.n + x):
+            before = int(prv[token])
+            after = int(nxt[token])
+            nxt[before] = after
+            prv[after] = before
+            self.label[token] = -1
 
     # ------------------------------------------------------------------
-    def is_ancestor_many(self, anc: np.ndarray, desc: np.ndarray) -> np.ndarray:
-        """Vectorised ancestor-or-equal test over parallel node arrays."""
-        tin_a = self.tin[anc]
-        tin_d = self.tin[desc]
-        return (tin_a <= tin_d) & (tin_d < self.tout[anc])
+    # internals
+    # ------------------------------------------------------------------
+    def _run(self, first: int, last: int) -> List[int]:
+        """Tokens from ``first`` to ``last`` inclusive, in list order."""
+        nxt = self.nxt
+        tokens = [first]
+        token = first
+        while token != last:
+            token = nxt.item(token)
+            tokens.append(token)
+        return tokens
 
-    def is_ancestor(self, a: int, d: int) -> bool:
-        """Scalar interval test (snapshot semantics; used by tests)."""
-        return bool(self.tin[a] <= self.tin[d] < self.tout[a])
+    def _relabel_around(self, anchor: int, first: int, last: int, k: int) -> None:
+        """Relabel the smallest sparse-enough range around ``anchor``.
+
+        The unlabelled ``k``-token segment ``first .. last`` sits right
+        after ``anchor``.  Level by level, the aligned range of ``2**i``
+        labels containing ``anchor``'s label grows until the tokens in
+        it plus the segment fit under ``(2 / T)**i``; they are then
+        spread evenly over it.  If no range below the whole universe
+        fits, everything is renumbered (:meth:`refresh`).
+        """
+        label = self.label
+        nxt = self.nxt
+        prv = self.prv
+        head = self.head
+        tail = self.tail
+        base = int(label[anchor])
+        left = first if anchor == head else anchor
+        right = last
+        count = k if anchor == head else k + 1
+        ratio = 2.0 / self.density_base
+        for level in range(1, self.label_bits):
+            low = (base >> level) << level
+            high = low + (1 << level)
+            before = prv.item(left)
+            while before != head and label.item(before) >= low:
+                left = before
+                count += 1
+                before = prv.item(left)
+            after = nxt.item(right)
+            while after != tail and label.item(after) < high:
+                right = after
+                count += 1
+                after = nxt.item(right)
+            if count <= ratio**level:
+                tokens = np.asarray(self._run(left, right), dtype=np.int64)
+                step = (high - low) // (count + 1)
+                label[tokens] = low + step * np.arange(
+                    1, count + 1, dtype=np.int64
+                )
+                self.relabels += count
+                return
+        self.refresh()

@@ -1,28 +1,22 @@
 """The vectorised scan-kernel backend.
 
-Batched edge classification against a frozen tree snapshot: each batch
-is classified in one shot with numpy — ``find_many`` roots, vectorised
-depth compares, and the Euler-tour interval test of
-:class:`~repro.kernels.oracle.AncestorOracle` in place of per-edge
-parent walks.  Mutations are then applied in batch order, and only the
-edges *invalidated by those mutations* (an endpoint marked dirty) are
-re-derived with the seed scalar logic — whose own ancestor walks are
-shortened by :func:`_hybrid_is_ancestor`, which climbs only the dirty
-suffix of a root path before finishing with one snapshot interval test.
+The spanning trees keep live Euler-tour labels
+(:class:`~repro.kernels.oracle.AncestorOracle`), exact after every
+pushdown, contraction and rejection, so each ancestor question is one
+interval compare ``tin[a] <= tin[d] < tout[a]`` instead of a
+parent-pointer walk.  Each batch is still applied edge by edge, in batch
+order, reading the live tree — earlier edges of a batch reshape what
+later ones see — so every decision is the one the scalar loop makes,
+only without its O(depth) walks.  Values frozen for a whole scan (the
+2P ``drank``/``dlink`` arrays) are gathered for the batch with numpy.
 
-Equivalence argument (pinned by ``tests/test_kernels_classify.py`` and
-the golden gate): a pair whose nodes are all clean at apply time has
-had no change to any involved root path, depth or liveness since the
-snapshot — so the prefilter facts still hold (distinct live
-representatives, depth ordering) and the snapshot interval verdicts
-equal what the live walks would return.  The fast path therefore takes
-exactly the branch the scalar loop would; every other pair takes the
-scalar loop itself.  Decisions happen in identical order either way.
+Equivalence with :class:`~repro.kernels.scalar.ScalarKernels` is pinned
+by ``tests/test_kernels_classify.py`` and the golden regression gate.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 import numpy as np
 
@@ -32,107 +26,45 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spanning.tree import ContractibleTree
     from repro.spanning.unionfind import DisjointSet
 
-from repro.constants import VIRTUAL_ROOT
 from repro.kernels.base import ScanKernels
-from repro.kernels.oracle import AncestorOracle
-
-
-def _hybrid_is_ancestor(tree: Any, oracle: AncestorOracle, a: int, d: int) -> bool:
-    """Live ancestor-or-equal test that exits into the snapshot early.
-
-    Equivalent to ``tree.is_ancestor(a, d)`` but climbs parent pointers
-    only while inside the *dirty* region: at the first clean node ``c``
-    met (with ``depth(c) > depth(a)``) the answer is the snapshot
-    verdict ``a ∈ path(c)``.  Soundness: ``c`` clean means c's entire
-    root path is unchanged since the snapshot, so membership of any
-    node in that path is unchanged too; and because live depths strictly
-    decrease along a root path, the depth-bounded walk from ``c`` finds
-    ``a`` iff ``a`` is on that path.  This turns the dirty-fallback's
-    O(depth) walk into O(dirty-suffix) + one interval test.
-    """
-    depth = tree.depth
-    parent = tree.parent
-    dirty = tree.dirty
-    tin = oracle.tin
-    tout = oracle.tout
-    target = depth[a]
-    node = d
-    while node != VIRTUAL_ROOT and depth[node] > target:
-        if not dirty[node]:
-            return bool(tin[a] <= tin[node] < tout[a])
-        node = int(parent[node])
-    return node == a
 
 
 class VectorKernels(ScanKernels):
-    """Snapshot-vectorised classification with scalar dirty fallback."""
+    """Per-edge decisions with O(1) live-label ancestor tests."""
 
     name = "vector"
 
-    def __init__(self) -> None:
-        super().__init__()
-        # One oracle per host tree; the tree reference guards against
-        # id() reuse after a host is garbage collected.
-        self._oracles: Dict[int, Tuple[Any, AncestorOracle]] = {}
-
-    def _oracle(self, tree: Any) -> AncestorOracle:
-        key = id(tree)
-        entry = self._oracles.get(key)
-        if entry is None or entry[0] is not tree:
-            entry = (tree, AncestorOracle(tree.n))
-            self._oracles[key] = entry
-        return entry[1]
-
-    def _refresh(self, tree: Any) -> AncestorOracle:
-        oracle = self._oracle(tree)
-        if oracle.refresh(tree):
-            self.bump("oracle-rebuilds", 1)
-        return oracle
+    def _count(self, tree: Any, edges: int, rebuilds: int, relabels: int) -> None:
+        """Bump the scan's edge count and its label-maintenance work."""
+        oracle = tree.oracle
+        self.bump("kernel-fast-path", edges)
+        self.bump("oracle-rebuilds", oracle.rebuilds - rebuilds)
+        self.bump("oracle-relabels", oracle.relabels - relabels)
 
     # ------------------------------------------------------------------
     def one_phase_scan(
         self, tree: "ContractibleTree", pairs: np.ndarray
     ) -> Tuple[int, int, int]:
-        oracle = self._refresh(tree)
-        us = pairs[:, 0]
-        vs = pairs[:, 1]
-        # Snapshot verdicts; valid wherever both nodes are still clean.
-        backward = oracle.is_ancestor_many(vs, us).tolist()
-        stale = (tree.dirty[us] | tree.dirty[vs]).tolist()
-        us_l = us.tolist()
-        vs_l = vs.tolist()
-        dirty = tree.dirty
+        oracle = tree.oracle
+        rebuilds, relabels = oracle.rebuilds, oracle.relabels
+        tin = oracle.tin
+        tout = oracle.tout
+        live = tree.live
+        depth = tree.depth
         ds = tree.ds
         early_accepts = 0
         pushdowns = 0
         largest = 0
-        fast = 0
-        fallbacks = 0
-        mutated = False  # this batch's own mutations re-dirty live state
-        for i in range(len(us_l)):
-            u = us_l[i]
-            v = vs_l[i]
-            if stale[i] or (mutated and (dirty[u] or dirty[v])):
-                fallbacks += 1
-                ru = tree.find(u)
-                rv = tree.find(v)
-                if ru == rv or not (tree.live[ru] and tree.live[rv]):
+        for u, v in pairs.tolist():
+            if not (live[u] and live[v]):
+                # Absorbed or rejected since the prefilter: re-resolve.
+                u = ds.find(u)
+                v = ds.find(v)
+                if u == v or not (live[u] and live[v]):
                     continue
-                if tree.depth[ru] < tree.depth[rv]:
-                    continue  # reshaped since the prefilter
-                if _hybrid_is_ancestor(tree, oracle, rv, ru):
-                    rep = tree.contract_path(ru, rv)
-                    size = ds.set_size(rep)
-                    if size > largest:
-                        largest = size
-                    early_accepts += 1
-                else:
-                    tree.pushdown(ru, rv)
-                    pushdowns += 1
-                mutated = True
-                continue
-            fast += 1
-            if backward[i]:
+            if depth[u] < depth[v]:
+                continue  # reshaped since the prefilter
+            if tin[v] <= tin[u] < tout[v]:
                 rep = tree.contract_path(u, v)
                 size = ds.set_size(rep)
                 if size > largest:
@@ -141,176 +73,96 @@ class VectorKernels(ScanKernels):
             else:
                 tree.pushdown(u, v)
                 pushdowns += 1
-            mutated = True
-        self.bump("kernel-fast-path", fast)
-        self.bump("kernel-fallbacks", fallbacks)
+        self._count(tree, pairs.shape[0], rebuilds, relabels)
         return early_accepts, pushdowns, largest
 
     # ------------------------------------------------------------------
     def construction_scan(
         self, tree: "BRPlusTree", us: np.ndarray, vs: np.ndarray
     ) -> Tuple[bool, int, int]:
-        oracle = self._refresh(tree)
+        oracle = tree.oracle
+        rebuilds, relabels = oracle.rebuilds, oracle.relabels
+        tin = oracle.tin
+        tout = oracle.tout
         depth = tree.depth
         # drank/dlink are frozen for the whole scan (update-drank runs
-        # between scans), so these reads hold for dirty pairs too.
+        # between scans), so they are gathered once per batch.
         ws = tree.dlink[vs]
-        u_below = (depth[us] < depth[vs]).tolist()
-        u_deep_enough = (depth[us] >= depth[ws]).tolist()
         drank_ok = (tree.drank[us] >= tree.drank[vs]).tolist()
-        anc_uv = oracle.is_ancestor_many(us, vs).tolist()
-        anc_vu = oracle.is_ancestor_many(vs, us).tolist()
-        anc_wu = oracle.is_ancestor_many(ws, us).tolist()
-        stale = (tree.dirty[us] | tree.dirty[vs] | tree.dirty[ws]).tolist()
-        us_l = us.tolist()
-        vs_l = vs.tolist()
-        ws_l = ws.tolist()
-        dirty = tree.dirty
         updated = False
         pushdowns = 0
         backward_links = 0
-        fast = 0
-        fallbacks = 0
-        mutated = False
-        for i in range(len(us_l)):
-            u = us_l[i]
-            v = vs_l[i]
-            if stale[i] or (
-                mutated and (dirty[u] or dirty[v] or dirty[ws_l[i]])
-            ):
-                fallbacks += 1
-                if tree.depth[u] < tree.depth[v]:
-                    if _hybrid_is_ancestor(tree, oracle, u, v):
-                        continue  # forward edge
-                elif _hybrid_is_ancestor(tree, oracle, v, u):
-                    if tree.offer_blink(u, v):
-                        backward_links += 1
-                    continue
-                if tree.drank[u] >= tree.drank[v]:
-                    w = int(tree.dlink[v])
-                    if _hybrid_is_ancestor(tree, oracle, w, u):
-                        if tree.offer_blink(u, w):
-                            updated = True
-                            backward_links += 1
-                    elif tree.depth[u] >= tree.depth[w]:
-                        tree.pushdown(u, w)
-                        updated = True
-                        pushdowns += 1
-                        mutated = True
-                continue
-            fast += 1
-            if u_below[i]:
-                if anc_uv[i]:
+        for i, (u, v, w) in enumerate(zip(us.tolist(), vs.tolist(), ws.tolist())):
+            if depth[u] < depth[v]:
+                if tin[u] <= tin[v] < tout[u]:
                     continue  # forward edge
-            elif anc_vu[i]:
+            elif tin[v] <= tin[u] < tout[v]:
                 if tree.offer_blink(u, v):
                     backward_links += 1
                 continue
             if drank_ok[i]:
-                w = ws_l[i]
-                if anc_wu[i]:
+                if tin[w] <= tin[u] < tout[w]:
                     if tree.offer_blink(u, w):
                         updated = True
                         backward_links += 1
-                elif u_deep_enough[i]:
+                elif depth[u] >= depth[w]:
                     tree.pushdown(u, w)
                     updated = True
                     pushdowns += 1
-                    mutated = True
-        self.bump("kernel-fast-path", fast)
-        self.bump("kernel-fallbacks", fallbacks)
+        self._count(tree, us.shape[0], rebuilds, relabels)
         return updated, pushdowns, backward_links
 
     # ------------------------------------------------------------------
     def search_scan(self, tree: "BRPlusTree", pairs: np.ndarray) -> int:
-        oracle = self._refresh(tree)
-        us = pairs[:, 0]
-        vs = pairs[:, 1]
-        backward = oracle.is_ancestor_many(vs, us).tolist()
-        stale = (tree.dirty[us] | tree.dirty[vs]).tolist()
-        us_l = us.tolist()
-        vs_l = vs.tolist()
-        dirty = tree.dirty
+        oracle = tree.oracle
+        rebuilds, relabels = oracle.rebuilds, oracle.relabels
+        tin = oracle.tin
+        tout = oracle.tout
+        live = tree.live
+        ds = tree.ds
         contractions = 0
-        fast = 0
-        fallbacks = 0
-        mutated = False
-        for i in range(len(us_l)):
-            u = us_l[i]
-            v = vs_l[i]
-            if stale[i] or (mutated and (dirty[u] or dirty[v])):
-                fallbacks += 1
-                ru = tree.find(u)
-                rv = tree.find(v)
-                if ru != rv and _hybrid_is_ancestor(tree, oracle, rv, ru):
-                    tree.contract_path(ru, rv)
-                    contractions += 1
-                    mutated = True
-                continue
-            fast += 1
-            if backward[i]:
+        for u, v in pairs.tolist():
+            if not (live[u] and live[v]):
+                u = ds.find(u)
+                v = ds.find(v)
+            if u != v and tin[v] <= tin[u] < tout[v]:
                 tree.contract_path(u, v)
                 contractions += 1
-                mutated = True
-        self.bump("kernel-fast-path", fast)
-        self.bump("kernel-fallbacks", fallbacks)
+        self._count(tree, pairs.shape[0], rebuilds, relabels)
         return contractions
 
     # ------------------------------------------------------------------
     def dfs_scan(
         self, tree: Any, batch: np.ndarray, deadline: "Deadline"
     ) -> int:
-        oracle = self._refresh(tree)
-        us = batch[:, 0].astype(np.int64)
-        vs = batch[:, 1].astype(np.int64)
-        # No prefilter: which edges are skippable depends on the tree,
-        # which mutates mid-batch.  The snapshot only replaces the two
-        # ancestor walks; self-loop/tree-edge/preorder tests stay live.
-        u_below = (tree.depth[us] < tree.depth[vs]).tolist()
-        anc_uv = oracle.is_ancestor_many(us, vs).tolist()
-        anc_vu = oracle.is_ancestor_many(vs, us).tolist()
-        stale = (tree.dirty[us] | tree.dirty[vs]).tolist()
-        us_l = us.tolist()
-        vs_l = vs.tolist()
-        dirty = tree.dirty
+        # The DFS tree renumbers its preorder after every move, so its
+        # own ``pre``/``size`` arrays are live interval labels already:
+        # a is an ancestor-or-equal of d iff pre[a] <= pre[d] < pre[a] +
+        # size[a].
         parent = tree.parent
+        depth = tree.depth
         pre = tree.pre
+        size = tree.size
         reparents = 0
-        fast = 0
-        fallbacks = 0
-        mutated = False
-        for i in range(len(us_l)):
-            u = us_l[i]
-            v = vs_l[i]
+        for u, v in batch.tolist():
             if u == v or parent[v] == u:
                 continue
-            if stale[i] or (mutated and (dirty[u] or dirty[v])):
-                fallbacks += 1
-                if tree.depth[u] < tree.depth[v]:
-                    if _hybrid_is_ancestor(tree, oracle, u, v):
-                        continue  # forward edge
-                elif _hybrid_is_ancestor(tree, oracle, v, u):
-                    continue  # backward edge
-            else:
-                fast += 1
-                if u_below[i]:
-                    if anc_uv[i]:
-                        continue  # forward edge
-                elif anc_vu[i]:
-                    continue  # backward edge
+            if depth[u] < depth[v]:
+                if pre[u] <= pre[v] < pre[u] + size[u]:
+                    continue  # forward edge
+            elif pre[v] <= pre[u] < pre[v] + size[v]:
+                continue  # backward edge
             if pre[u] < pre[v]:
                 # Forward-cross-edge: re-hang v under u and renumber
                 # (ranks before pre(u) are unaffected).
                 tree.reparent(v, u)
-                tree.assign_preorder(pivot=int(tree.pre[u]))
+                tree.assign_preorder(pivot=int(pre[u]))
                 reparents += 1
-                mutated = True
                 # Each move renumbers up to O(n) ranks, so the
                 # wall-clock budget is re-checked per move.
                 deadline.check()
             # backward-cross-edges are ignored.
-        self.bump("kernel-fast-path", fast)
-        self.bump("kernel-fallbacks", fallbacks)
+        self.bump("kernel-fast-path", batch.shape[0])
         return reparents
 
     # ------------------------------------------------------------------

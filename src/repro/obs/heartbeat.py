@@ -75,12 +75,6 @@ class Progress:
     blocks_read: int
     blocks_per_scan: int
     scan_budget: int
-    #: Forked scan workers attached to the run (0 = serial).  The ETA
-    #: needs no separate correction for them: workers change the
-    #: *observed* block-read rate the projection divides by, never the
-    #: counted block budget — but the line says how many are working so
-    #: a rate is readable next to the machine that produced it.
-    workers: int = 0
 
     @property
     def retention(self) -> Optional[float]:
@@ -136,7 +130,6 @@ def read_progress(snapshot: Dict[str, object],
         blocks_read=blocks_read,
         blocks_per_scan=int(gauges.get("repro_run_blocks_per_scan", 0)),  # type: ignore[arg-type]
         scan_budget=int(gauges.get("repro_run_scan_budget", 0)),  # type: ignore[arg-type]
-        workers=int(gauges.get("repro_parallel_workers", 0)),  # type: ignore[arg-type]
     )
 
 
@@ -177,10 +170,6 @@ def format_heartbeat(progress: Progress, elapsed_s: float) -> str:
     parts = [
         f"[{_fmt_duration(elapsed_s)}]",
         progress.algorithm or "run",
-    ]
-    if progress.workers > 0:
-        parts.append(f"x{progress.workers}w")
-    parts += [
         f"iter {progress.iteration}",
         f"live {progress.live_nodes:,}n/{progress.live_edges:,}e",
         f"read {progress.blocks_read:,} blocks",

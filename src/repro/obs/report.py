@@ -128,36 +128,6 @@ def render_report(trace: TraceData, max_depth: Optional[int] = None) -> str:
             f"prefetch: {prefetched:,} blocks pipelined, {stalls:,} stalls "
             f"({_percent(prefetched - stalls, prefetched)} latency hidden)"
         )
-    # Parallel scan executor activity.  The span counters are per-scan
-    # deltas, so summing over *all* spans gives run totals; the worker
-    # count is emitted exactly once (see ParallelContext.drain_counters),
-    # so the same sum recovers it.  Efficiency is worker-busy time over
-    # the workers x wall capacity — low numbers are expected and honest:
-    # the main process alone reads counted blocks and applies merges, so
-    # workers idle whenever classification is not the bottleneck.
-    par_batches = sum(
-        span.counters.get("parallel-batches", 0) for span in trace.spans
-    )
-    if par_batches:
-        par_workers = sum(
-            span.counters.get("parallel-workers", 0) for span in trace.spans
-        )
-        par_fallbacks = sum(
-            span.counters.get("parallel-fallbacks", 0) for span in trace.spans
-        )
-        par_stale = sum(
-            span.counters.get("parallel-stale", 0) for span in trace.spans
-        )
-        busy_ms = sum(
-            span.counters.get("parallel-busy-ms", 0) for span in trace.spans
-        )
-        capacity_ms = int(par_workers * total_wall * 1000.0)
-        lines.append(
-            f"parallel: {par_workers} workers, {par_batches:,} batches "
-            f"shipped ({par_fallbacks:,} fallbacks, {par_stale:,} stale), "
-            f"{busy_ms / 1000.0:.3f}s worker-busy "
-            f"({_percent(busy_ms, capacity_ms)} of {par_workers}×wall)"
-        )
     lines.append("")
 
     # --- the span tree.

@@ -112,7 +112,6 @@ class ServiceConfig:
     rebuild_time_limit: Optional[float] = None
     service_root: Optional[str] = None  # default: <graph_path>.service
     fault_plan: Optional[str] = None    # applied to (re)build I/O
-    workers: int = 0                    # sharded-scan workers for builds
     num_traversals: int = 2             # GRAIL traversals
     seed: int = 0
     auto_rebuild: bool = True           # ingest triggers a rebuild request
@@ -629,7 +628,6 @@ class SCCServer:
             fault_plan=self.config.fault_plan,
             time_limit=self.config.rebuild_time_limit,
             metrics=self.registry,
-            workers=self.config.workers,
             num_traversals=self.config.num_traversals,
             seed=self.config.seed,
             generation=generation,

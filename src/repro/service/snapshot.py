@@ -227,7 +227,6 @@ def build_snapshot(
     fault_plan: Optional[str] = None,
     time_limit: Optional[float] = None,
     metrics: Optional[MetricsRegistry] = None,
-    workers: int = 0,
     num_traversals: int = 2,
     seed: int = 0,
     generation: int = 0,
@@ -254,7 +253,6 @@ def build_snapshot(
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             metrics=metrics,
-            workers=workers,
         )
         dag_edges = condensation_edges(graph, result.labels)
         return _assemble(

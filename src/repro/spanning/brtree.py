@@ -16,8 +16,9 @@ tree traversals, using the identity
 ``Rset(u) = subtree(u) ∪ Rset(a)`` where ``a`` is the shallowest
 ancestor reachable by one backward jump out of ``u``'s subtree.
 
-With ``REPRO_CHECK_INVARIANTS=1`` the mutating entry points re-verify
-the structure contracts after every call (see ``docs/contracts.md``):
+With ``REPRO_CHECK_INVARIANTS=1`` set when a tree is built (or
+restored), its mutating entry points re-verify the structure contracts
+after every call (see ``docs/contracts.md``):
 parent/depth consistency, a single strictly-shallower backward link per
 node, and — right after :meth:`~BRPlusTree.update_drank` — ancestor
 validity of every link plus drank/dlink coherence and monotonicity.
@@ -43,6 +44,9 @@ class BRPlusTree(ContractibleTree):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
+        #: Whether the runtime contracts run, resolved once here (and so
+        #: also by :meth:`from_state`) rather than per checked call.
+        self.contracts_enabled = invariants_enabled()
         #: Stored backward link: the ancestor each node keeps, or -1.
         self.blink = np.full(n, VIRTUAL_ROOT, dtype=np.int64)
         #: drank/dlink of Definition 5.1, refreshed by update_drank().
@@ -62,7 +66,7 @@ class BRPlusTree(ContractibleTree):
         current = int(self.blink[u])
         if current != VIRTUAL_ROOT and self.depth[current] <= self.depth[target]:
             return False
-        if invariants_enabled():
+        if self.contracts_enabled:
             # Precise check of the offered pair, valid exactly at offer
             # time (links may go stale later until update_drank drops
             # them, so the decorator only re-checks the weaker shape).

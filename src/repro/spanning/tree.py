@@ -11,7 +11,8 @@ Supernode membership after contraction lives in a
 Supported operations map one-to-one onto the paper:
 
 * ``is_ancestor`` / ``path_up`` — the ancestor/descendant tests of
-  Definition 5.1 (depth-bounded parent walks).
+  Definition 5.1 (depth-bounded parent walks); :attr:`oracle` keeps
+  live Euler-tour labels that answer the same test in O(1).
 * ``pushdown`` — the reshaping operation of Section 6.1: cut the
   subtree rooted at ``v``, paste it under ``u``, update depths locally.
 * ``contract_path`` — early acceptance (Section 7.1): collapse the tree
@@ -22,11 +23,12 @@ Supported operations map one-to-one onto the paper:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 import numpy as np
 
 from repro.constants import VIRTUAL_ROOT
+from repro.kernels.oracle import AncestorOracle
 from repro.spanning.unionfind import DisjointSet
 
 
@@ -57,30 +59,9 @@ class ContractibleTree:
         self.children: List[set] = [set() for _ in range(n)]
         #: Nodes finalised by early rejection, in emission order.
         self.rejected: List[int] = []
-        #: Structural version: bumped by every mutation that can change
-        #: an ancestor relationship, a depth, or liveness.  Snapshot
-        #: consumers (the Euler-tour ancestor oracle) compare it against
-        #: the epoch they were built at.
-        self.epoch = 0
-        #: dirty[x] — x's root path, depth or liveness may have changed
-        #: since the last oracle snapshot.  Only maintained once a
-        #: snapshot consumer turns :attr:`track_dirty` on; a node left
-        #: clean is guaranteed unchanged in all three respects, so
-        #: snapshot-time answers about clean pairs remain valid.
-        self.dirty = np.zeros(n, dtype=bool)
-        #: Switched on by the first oracle rebuild; scalar-only runs
-        #: never pay the subtree-marking cost.
-        self.track_dirty = False
-        #: Optional plain-list mirrors of ``parent``/``depth``/``dirty``
-        #: (:meth:`enable_mirror`).  The parallel merge loop's fallback
-        #: walks are numpy-scalar-read bound; reading Python lists in
-        #: the hot walk is several times cheaper, and the mutation loops
-        #: below already visit exactly the nodes whose entries change.
-        #: ``None`` until enabled, so serial runs pay one predicate per
-        #: mutation and nothing per node.
-        self.mirror_parent: Optional[List[int]] = None
-        self.mirror_depth: Optional[List[int]] = None
-        self.mirror_dirty: Optional[List[bool]] = None
+        #: Live Euler-tour labels, exact after every edit: the O(1)
+        #: ancestor test ``oracle.tin[a] <= oracle.tin[d] < oracle.tout[a]``.
+        self.oracle = AncestorOracle(n)
 
     # ------------------------------------------------------------------
     # queries
@@ -105,7 +86,9 @@ class ContractibleTree:
         """Whether live node ``a`` is a (strict or equal) ancestor of ``d``.
 
         Walks parent pointers from ``d`` upward, pruned by depth: the
-        walk stops as soon as it climbs above ``depth(a)``.
+        walk stops as soon as it climbs above ``depth(a)``.  This is the
+        paper-literal test; :attr:`oracle` answers the same question in
+        O(1).
         """
         target_depth = self.depth[a]
         node = d
@@ -145,58 +128,14 @@ class ContractibleTree:
             if self.parent[v] == VIRTUAL_ROOT:
                 yield int(v)
 
-    def oracle_roots(self) -> Iterator[int]:
-        """Roots of the live forest, for oracle rebuild traversals."""
-        return self.roots()
-
-    # ------------------------------------------------------------------
-    # mirrors
-    # ------------------------------------------------------------------
-    def enable_mirror(self) -> None:
-        """Materialise the plain-list mirrors and keep them maintained.
-
-        Idempotent.  After this call every structural edit updates the
-        mirrors in the same loops that update the numpy arrays, so the
-        two views never diverge; :meth:`mirror_clear_dirty` must be
-        called whenever a snapshot consumer clears :attr:`dirty`.
-        """
-        if self.mirror_parent is not None:
-            return
-        self.mirror_parent = self.parent.tolist()
-        self.mirror_depth = self.depth.tolist()
-        self.mirror_dirty = self.dirty.tolist()
-
-    def mirror_clear_dirty(self) -> None:
-        """Re-zero the dirty mirror (paired with ``dirty[:] = False``)."""
-        if self.mirror_dirty is not None:
-            self.mirror_dirty = [False] * self.n
-
     # ------------------------------------------------------------------
     # structural edits
     # ------------------------------------------------------------------
-    def _mark_dirty_subtree(self, v: int) -> None:
-        """Mark ``v`` and its whole subtree dirty (post-mutation)."""
-        dirty = self.dirty
-        mirror = self.mirror_dirty
-        if mirror is None:
-            for node in self.subtree(v):
-                dirty[node] = True
-        else:
-            for node in self.subtree(v):
-                dirty[node] = True
-                mirror[node] = True
-
     def _shift_subtree_depth(self, v: int, delta: int) -> None:
         if delta == 0:
             return
-        mirror = self.mirror_depth
-        if mirror is None:
-            for node in self.subtree(v):
-                self.depth[node] += delta
-        else:
-            for node in self.subtree(v):
-                self.depth[node] += delta
-                mirror[node] += delta
+        for node in self.subtree(v):
+            self.depth[node] += delta
 
     def _detach(self, v: int) -> None:
         p = int(self.parent[v])
@@ -208,7 +147,8 @@ class ContractibleTree:
 
         Depths of the whole moved subtree are updated — the "local"
         depth maintenance the paper contrasts with DFS-Tree's global
-        preorder renumbering (Fig. 3).
+        preorder renumbering (Fig. 3) — in the same walk that splices
+        the subtree's Euler-tour segment under ``new_parent``.
         """
         self._detach(v)
         if new_parent == VIRTUAL_ROOT:
@@ -217,15 +157,8 @@ class ContractibleTree:
             self.children[new_parent].add(v)
             new_depth = int(self.depth[new_parent]) + 1
         self.parent[v] = new_parent
-        if self.mirror_parent is not None:
-            self.mirror_parent[v] = new_parent
         self.parent_is_real[v] = real and new_parent != VIRTUAL_ROOT
-        self._shift_subtree_depth(v, new_depth - int(self.depth[v]))
-        # The moved subtree's root paths (and depths) changed; the rest
-        # of the tree — including the new parent — is untouched.
-        self.epoch += 1
-        if self.track_dirty:
-            self._mark_dirty_subtree(v)
+        self.oracle.move(v, new_parent, self.depth, new_depth - int(self.depth[v]))
 
     def pushdown(self, u: int, v: int) -> None:
         """The paper's ``T ⇓ (u, v)`` operation for an up-edge ``(u, v)``.
@@ -245,6 +178,10 @@ class ContractibleTree:
         supernode keeps ``v``'s identity, parent and depth.  Children
         hanging off the path are re-hung under the supernode with their
         subtree depths updated.  Returns the surviving representative.
+
+        No label moves: every re-hung subtree already lies inside
+        ``v``'s Euler-tour interval, so dropping the absorbed nodes'
+        tokens leaves exactly the contracted tree's tour.
         """
         if u == v:
             return v
@@ -252,32 +189,19 @@ class ContractibleTree:
         on_path = set(path)
         rep = v
         rep_depth = int(self.depth[rep])
-        mark = self.track_dirty
-        mirror_parent = self.mirror_parent
-        mirror_dirty = self.mirror_dirty
         for node in path[:-1]:  # everything except v itself
             self.ds.union_into(node, rep)
             self.live[node] = False
-            if mark:
-                self.dirty[node] = True
-                if mirror_dirty is not None:
-                    mirror_dirty[node] = True
+            self.oracle.remove(node)
             for child in list(self.children[node]):
                 if child in on_path:
                     continue
                 self.children[rep].add(child)
                 self.parent[child] = rep
-                if mirror_parent is not None:
-                    mirror_parent[child] = rep
                 self._shift_subtree_depth(child, rep_depth + 1 - int(self.depth[child]))
-                if mark:
-                    self._mark_dirty_subtree(child)
             self.children[node].clear()
         # Drop absorbed path members from the representative's children.
-        # ``rep`` keeps its parent, depth and liveness, so it stays clean:
-        # only the absorbed path and the re-hung subtrees are marked.
         self.children[rep] -= on_path
-        self.epoch += 1
         return rep
 
     def reject(self, v: int) -> None:
@@ -291,14 +215,8 @@ class ContractibleTree:
             self.reparent(child, VIRTUAL_ROOT)
         self._detach(v)
         self.parent[v] = VIRTUAL_ROOT
-        if self.mirror_parent is not None:
-            self.mirror_parent[v] = VIRTUAL_ROOT
         self.live[v] = False
-        self.epoch += 1
-        if self.track_dirty:
-            self.dirty[v] = True
-            if self.mirror_dirty is not None:
-                self.mirror_dirty[v] = True
+        self.oracle.remove(v)
         self.rejected.append(v)
 
     # ------------------------------------------------------------------
@@ -310,9 +228,8 @@ class ContractibleTree:
         ``children`` is *not* serialised: for every live non-root node
         ``c``, ``c ∈ children[parent[c]]`` (the invariant
         :meth:`check_invariants` asserts), so the sets are rebuilt from
-        ``parent`` and ``live`` on restore.  The oracle-snapshot fields
-        (``epoch``/``dirty``) are deliberately dropped — a resumed run
-        starts with a fresh kernel whose oracle rebuilds lazily.
+        ``parent`` and ``live`` on restore, and so are the Euler-tour
+        labels.
         """
         return {
             "parent": self.parent,
@@ -341,6 +258,7 @@ class ContractibleTree:
         self.ds.size[:] = arrays["ds_size"]
         self.rejected = [int(v) for v in arrays["rejected"]]
         self._rebuild_children()
+        self.oracle.build(self.roots(), self.children)
 
     def _rebuild_children(self) -> None:
         """Derive the children sets from ``parent`` and ``live``."""
@@ -377,6 +295,10 @@ class ContractibleTree:
                 assert v in self.children[p], f"{v} missing from children of {p}"
                 assert self.depth[v] == self.depth[p] + 1, (
                     f"depth({v})={self.depth[v]} but depth({p})={self.depth[p]}"
+                )
+                tin, tout = self.oracle.tin, self.oracle.tout
+                assert tin[p] < tin[v] < tout[v] < tout[p], (
+                    f"labels of {v} do not nest inside those of {p}"
                 )
         for v in range(self.n):
             for c in self.children[v]:

@@ -361,7 +361,7 @@ class TestLint:
             for line in out.splitlines()
             if ": " in line and line.split(":")[0].endswith(".py")
         }
-        assert rules == {"SCAN002", "THR001", "IO003", "IO001", "THR003", "THR004"}
+        assert rules == {"SCAN002", "THR001", "IO003", "IO001", "THR004"}
 
     def test_clean_tree_exits_zero(self, capsys):
         assert main(["lint", "src"]) == 0
@@ -398,7 +398,7 @@ class TestLint:
         log = json.loads(open(sarif_path).read())  # repro: allow[IO001]
         assert validate_sarif(log) == []
         rule_ids = {r["ruleId"] for r in log["runs"][0]["results"]}
-        assert rule_ids == {"SCAN002", "THR001", "IO003", "IO001", "THR003", "THR004"}
+        assert rule_ids == {"SCAN002", "THR001", "IO003", "IO001", "THR004"}
 
     def test_cost_report_flag_prints_the_table(self, capsys):
         assert main(["lint", "src", "--cost-report"]) == 0

@@ -140,6 +140,30 @@ class TestBRPlusTreeContracts:
         tree.update_drank()  # corrupt, but no check runs
 
 
+class TestFlagResolvedOncePerTree:
+    """A tree reads REPRO_CHECK_INVARIANTS when built, never per call."""
+
+    def test_set_before_construction_keeps_checks_on(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "1")
+        tree = BRPlusTree(3)
+        restored = BRPlusTree.from_state(tree.state_arrays())
+        monkeypatch.delenv(ENV_VAR)
+        for built in (tree, restored):
+            built.depth[2] = 5
+            with pytest.raises(ContractViolation):
+                built.update_drank()
+
+    def test_unset_at_construction_skips_checks(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        tree = BRPlusTree(3)
+        restored = BRPlusTree.from_state(tree.state_arrays())
+        monkeypatch.setenv(ENV_VAR, "1")
+        for built in (tree, restored):
+            built.depth[2] = 5
+            built.update_drank()  # corrupt, but the checks stay off
+            assert built.offer_blink(2, 2)  # unchecked precondition too
+
+
 class TestEndToEnd:
     """Whole-algorithm runs with the checks enabled stay correct."""
 

@@ -36,6 +36,13 @@ class TestCanonicalize:
         assert labels[2] == labels[4]
         assert len({int(labels[0]), int(labels[2]), int(labels[5])}) == 3
 
+    def test_relabels_by_sorted_value(self):
+        # Ranks by label value, not by first appearance ([0, 1, 0]):
+        # every golden partition fingerprint depends on this mapping.
+        labels, count = canonicalize_labels(np.array([5, 2, 5]))
+        assert labels.tolist() == [1, 0, 1]
+        assert count == 2
+
     def test_empty(self):
         labels, count = canonicalize_labels(np.array([], dtype=np.int64))
         assert count == 0

@@ -6,8 +6,10 @@ These tests fuzz that contract three ways:
 
 * full-run equality on random graphs, for all five algorithms: labels,
   iteration counts and every counted I/O figure must match exactly;
-* batch-level equality on a shared tree: both backends applied to the
-  same pair batch must leave identical structures behind;
+* batch-level equality for each of the four tree scans (1P, 2P
+  construction and search, DFS): both backends applied to the same
+  batches must return the same tallies and leave identical structures
+  behind;
 * helper-kernel equality (``compact_pairs``, ``absorb_members``).
 """
 
@@ -21,6 +23,8 @@ import pytest
 from repro import compute_sccs
 from repro.core import ALGORITHMS
 from repro.exceptions import NonTermination
+from repro.core.base import Deadline
+from repro.core.dfs_scc import _DFSTree
 from repro.core.one_phase import OnePhaseSCC
 from repro.core.validate import partitions_equal
 from repro.graph.digraph import Digraph
@@ -32,6 +36,7 @@ from repro.kernels import (
     VectorKernels,
     resolve_kernels,
 )
+from repro.spanning.brtree import BRPlusTree
 from repro.spanning.tree import ContractibleTree
 from repro.spanning.unionfind import DisjointSet
 
@@ -134,8 +139,8 @@ class TestBatchLevelEquivalence:
         vector_tree = ContractibleTree(n)
         scalar_kernel = ScalarKernels()
         vector_kernel = VectorKernels()
-        # Force frequent oracle refreshes so both the snapshot fast path
-        # and the dirty fallback are exercised within each batch.
+        # Small n keeps batches dense in contractions and pushdowns, so
+        # later edges of a batch see nodes earlier edges moved or killed.
         for batch_index in range(12):
             batch = rng.integers(0, n, size=(30, 2)).astype(np.uint32)
             scalar_pairs = OnePhaseSCC._candidates(scalar_tree, batch)
@@ -155,6 +160,61 @@ class TestBatchLevelEquivalence:
             )
         counters = vector_kernel.drain_counters()
         assert counters.get("kernel-fast-path", 0) > 0
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_construction_and_search_scans_same_trajectory(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        trees = [BRPlusTree(n), BRPlusTree(n)]
+        kernels = [ScalarKernels(), VectorKernels()]
+        for tree in trees:
+            tree.update_drank()
+        for scan in range(8):
+            batch = rng.integers(0, n, size=(40, 2)).astype(np.int64)
+            got = []
+            for kernel, tree in zip(kernels, trees):
+                us, vs = batch[:, 0], batch[:, 1]
+                keep = (us != vs) & (tree.parent[vs] != us)
+                got.append(kernel.construction_scan(tree, us[keep], vs[keep]))
+                tree.update_drank()
+            assert got[0] == got[1], f"construction scan {scan}"
+            for name in ("parent", "depth", "blink", "drank", "dlink"):
+                assert np.array_equal(
+                    getattr(trees[0], name), getattr(trees[1], name)
+                ), name
+        for scan in range(4):
+            batch = rng.integers(0, n, size=(40, 2)).astype(np.int64)
+            got = []
+            for kernel, tree in zip(kernels, trees):
+                us = tree.find_many(batch[:, 0])
+                vs = tree.find_many(batch[:, 1])
+                keep = (us != vs) & (tree.depth[vs] < tree.depth[us])
+                got.append(
+                    kernel.search_scan(tree, np.column_stack((us[keep], vs[keep])))
+                )
+            assert got[0] == got[1], f"search scan {scan}"
+            assert np.array_equal(trees[0].live, trees[1].live)
+            assert np.array_equal(trees[0].depth, trees[1].depth)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_dfs_scan_same_trajectory(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 30
+        order = rng.permutation(n).astype(np.int64)
+        trees = [_DFSTree(order), _DFSTree(order)]
+        kernels = [ScalarKernels(), VectorKernels()]
+        deadline = Deadline("DFS-SCC", None)
+        for scan in range(10):
+            batch = rng.integers(0, n, size=(25, 2)).astype(np.uint32)
+            got = [
+                kernel.dfs_scan(tree, batch, deadline)
+                for kernel, tree in zip(kernels, trees)
+            ]
+            assert got[0] == got[1], f"dfs scan {scan}"
+            for name in ("parent", "depth", "pre", "size"):
+                assert np.array_equal(
+                    getattr(trees[0], name), getattr(trees[1], name)
+                ), name
 
     def test_scan_on_copied_tree_is_deterministic(self):
         rng = np.random.default_rng(9)

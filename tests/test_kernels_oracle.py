@@ -1,13 +1,9 @@
-"""Property tests for the epoch-cached Euler-tour ancestor oracle.
+"""Property tests for the live Euler-tour ancestor labels.
 
-The oracle's contract has two halves, both exercised here against the
-walk-based ``is_ancestor`` as ground truth:
-
-* **after a rebuild** the interval test agrees with the walk on every
-  live pair (and is deterministically False for dead nodes);
-* **between rebuilds** the snapshot stays valid for every pair of nodes
-  the host tree left *clean* — that is the invariant the vector kernels
-  rely on when they serve stale-but-clean verdicts.
+The spanning trees keep :class:`~repro.kernels.AncestorOracle` labels
+exact across every edit, so at any moment the interval test must agree
+with the walk-based ``is_ancestor`` on every live pair, and be False
+for any pair involving a dead node.  The walk is the ground truth.
 """
 
 from __future__ import annotations
@@ -17,12 +13,12 @@ import pytest
 
 from repro.constants import VIRTUAL_ROOT
 from repro.core.dfs_scc import _DFSTree
-from repro.kernels import AncestorOracle
+from repro.kernels import AncestorOracle, VectorKernels
 from repro.spanning.tree import ContractibleTree
 
 
 def exhaustive_check(oracle: AncestorOracle, tree: ContractibleTree) -> None:
-    """Oracle == walk on every ordered live pair; dead pairs are False."""
+    """Labels == walk on every ordered live pair; dead pairs are False."""
     nodes = list(range(tree.n))
     live = tree.live
     for a in nodes:
@@ -55,121 +51,101 @@ def random_mutation(rng: np.random.Generator, tree: ContractibleTree) -> None:
         tree.reject(u)
 
 
+def chain_pairs(n: int) -> np.ndarray:
+    """Pairs ``(i, i + 1)``: each pushes the next node under a leaf."""
+    return np.column_stack((np.arange(n - 1), np.arange(1, n))).astype(np.int64)
+
+
 class TestRebuildAgreement:
-    """After a rebuild the interval test is exact."""
+    """The interval test is exact at every moment, not just after builds."""
 
     def test_initial_star(self):
         tree = ContractibleTree(8)
-        oracle = AncestorOracle(tree.n)
-        assert oracle.refresh(tree)  # first refresh always rebuilds
-        exhaustive_check(oracle, tree)
+        assert tree.oracle.rebuilds == 1  # the initial numbering
+        exhaustive_check(tree.oracle, tree)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_after_random_mutations(self, seed):
         rng = np.random.default_rng(seed)
         tree = ContractibleTree(24)
-        oracle = AncestorOracle(tree.n)
         for _ in range(40):
             random_mutation(rng, tree)
-        oracle._rebuild(tree)  # bypass the amortisation policy
-        exhaustive_check(oracle, tree)
+            exhaustive_check(tree.oracle, tree)
 
     def test_ancestor_or_equal_semantics(self):
         tree = ContractibleTree(4)
         tree.reparent(1, 0)
         tree.reparent(2, 1)
-        oracle = AncestorOracle(tree.n)
-        oracle.refresh(tree)
+        oracle = tree.oracle
         assert oracle.is_ancestor(1, 1)  # equal counts, like the walk
         assert oracle.is_ancestor(0, 2)
         assert not oracle.is_ancestor(2, 0)
-        many = oracle.is_ancestor_many(
-            np.array([0, 2, 3]), np.array([2, 0, 3])
-        )
-        assert many.tolist() == [True, False, True]
+        assert not oracle.is_ancestor(0, 3)  # separate trees
 
-
-class TestCleanPairValidity:
-    """Stale snapshots stay exact on pairs the tree left clean."""
-
-    @pytest.mark.parametrize("seed", [10, 11, 12, 13, 14])
-    def test_clean_pairs_survive_mutations(self, seed):
-        rng = np.random.default_rng(seed)
-        tree = ContractibleTree(24)
-        oracle = AncestorOracle(tree.n)
-        oracle.refresh(tree)
-        snapshot = {
-            (a, d): oracle.is_ancestor(a, d)
-            for a in range(tree.n)
-            for d in range(tree.n)
-        }
-        for _ in range(25):
-            random_mutation(rng, tree)
-        assert tree.track_dirty
-        for (a, d), verdict in snapshot.items():
-            if tree.dirty[a] or tree.dirty[d]:
-                continue  # the kernels fall back to the walk here
-            assert verdict == oracle.is_ancestor(a, d)  # labels untouched
-            if tree.live[a] and tree.live[d]:
-                assert verdict == tree.is_ancestor(a, d), (a, d)
-            else:
-                # Liveness changes mark a node dirty, so a clean node
-                # that was live at snapshot time is live now.
-                assert not verdict
-
-    def test_contract_path_keeps_representative_clean(self):
-        tree = ContractibleTree(6)
+    def test_dead_nodes_answer_false(self):
+        tree = ContractibleTree(5)
         tree.reparent(1, 0)
         tree.reparent(2, 1)
-        oracle = AncestorOracle(tree.n)
-        oracle.refresh(tree)
-        tree.contract_path(2, 0)  # absorb 1, 2 into 0
-        assert not tree.dirty[0]
-        assert tree.dirty[1] and tree.dirty[2]
+        tree.contract_path(2, 0)  # absorbs 1 and 2 into 0
+        tree.reject(3)
+        oracle = tree.oracle
+        for dead in (1, 2, 3):
+            assert oracle.tin[dead] == oracle.tout[dead] == -1
+            for other in range(5):
+                assert not oracle.is_ancestor(dead, other)
+                assert not oracle.is_ancestor(other, dead)
+        assert oracle.is_ancestor(0, 0)
 
 
-class TestRefreshPolicy:
-    """Epoch fast path and the dirty-population rebuild threshold."""
+class TestRelabelling:
+    """Gap exhaustion: local range relabels, then full renumbers."""
 
-    def test_same_epoch_is_a_noop(self):
-        tree = ContractibleTree(4)
-        oracle = AncestorOracle(tree.n)
-        assert oracle.refresh(tree)
-        assert not oracle.refresh(tree)
-        assert oracle.rebuilds == 1
-
-    def test_first_refresh_enables_dirty_tracking(self):
-        tree = ContractibleTree(4)
-        assert not tree.track_dirty
-        AncestorOracle(tree.n).refresh(tree)
-        assert tree.track_dirty
-        assert not tree.dirty.any()
-
-    def test_small_dirt_defers_rebuild(self):
-        tree = ContractibleTree(8)
-        oracle = AncestorOracle(tree.n)
-        oracle.refresh(tree)
-        tree.pushdown(1, 2)  # one dirty node << rebuild_min_dirty
-        assert not oracle.refresh(tree)
-        assert oracle.rebuilds == 1
-        assert oracle.built_epoch != tree.epoch  # stale by design
-
-    def test_large_dirt_triggers_rebuild(self):
-        tree = ContractibleTree(8)
-        oracle = AncestorOracle(tree.n)
-        oracle.rebuild_min_dirty = 1
-        oracle.rebuild_fraction = 0.0
-        oracle.refresh(tree)
-        tree.pushdown(1, 2)
-        tree.pushdown(3, 4)
-        assert oracle.refresh(tree)
+    def test_refresh_renumbers_evenly_and_counts(self):
+        tree = ContractibleTree(6)
+        tree.pushdown(0, 1)
+        oracle = tree.oracle
+        assert oracle.refresh()
         assert oracle.rebuilds == 2
-        assert not tree.dirty.any()  # rebuild resets the bitmap
+        order = oracle.label[oracle._run(oracle.head, oracle.tail)]
+        assert (np.diff(order) > 0).all()
+        assert len(set(np.diff(order[:-1]).tolist())) == 1
         exhaustive_check(oracle, tree)
+
+    def test_long_chain_forces_local_relabels(self):
+        tree = ContractibleTree(200)
+        kernels = VectorKernels()
+        accepts, pushdowns, _ = kernels.one_phase_scan(tree, chain_pairs(200))
+        assert (accepts, pushdowns) == (0, 199)
+        counters = kernels.drain_counters()
+        assert counters["oracle-relabels"] == tree.oracle.relabels > 0
+        assert "oracle-rebuilds" not in counters  # 62 bits never fill up
+        assert counters["kernel-fast-path"] == 199
+        assert int(tree.depth.max()) == 200
+        exhaustive_check(tree.oracle, tree)
+
+    def test_small_universe_forces_full_renumbers(self, monkeypatch):
+        # 2**16 labels: room for local relabels at first, until the
+        # chain's tokens crowd every range below the root.
+        monkeypatch.setattr(AncestorOracle, "label_bits", 16)
+        tree = ContractibleTree(120)
+        kernels = VectorKernels()
+        kernels.one_phase_scan(tree, chain_pairs(120))
+        counters = kernels.drain_counters()
+        assert counters["oracle-rebuilds"] == tree.oracle.rebuilds - 1 > 0
+        assert counters["oracle-relabels"] == tree.oracle.relabels > 0
+        exhaustive_check(tree.oracle, tree)
+
+    def test_restore_rebuilds_exact_labels(self):
+        rng = np.random.default_rng(5)
+        tree = ContractibleTree(30)
+        for _ in range(50):
+            random_mutation(rng, tree)
+        restored = ContractibleTree.from_state(tree.state_arrays())
+        exhaustive_check(restored.oracle, restored)
 
 
 class TestDFSTreeOracle:
-    """The DFS forest exposes the same snapshot contract."""
+    """The DFS forest's own preorder ranks are live interval labels."""
 
     def test_oracle_matches_walk_after_reparents(self):
         order = np.arange(10)
@@ -179,23 +155,16 @@ class TestDFSTreeOracle:
             u, v = (int(x) for x in rng.choice(10, size=2, replace=False))
             if not tree.is_ancestor(v, u) and not tree.is_ancestor(u, v):
                 tree.reparent(v, u)
-        oracle = AncestorOracle(tree.n)
-        oracle._rebuild(tree)
-        for a in range(tree.n):
-            for d in range(tree.n):
-                assert oracle.is_ancestor(a, d) == tree.is_ancestor(a, d)
-
-    def test_reparent_leaves_new_parent_clean(self):
-        tree = _DFSTree(np.arange(5))
-        AncestorOracle(tree.n).refresh(tree)
-        tree.reparent(3, 1)
-        assert tree.dirty[3]
-        assert not tree.dirty[1]
-        assert tree.epoch == 1
+                tree.assign_preorder()
+            pre, size = tree.pre, tree.size
+            for a in range(tree.n):
+                for d in range(tree.n):
+                    interval = bool(pre[a] <= pre[d] < pre[a] + size[a])
+                    assert interval == tree.is_ancestor(a, d), (a, d)
 
 
 class TestVirtualRootEncoding:
     def test_virtual_root_never_queried(self):
-        # The oracle indexes arrays by node id; VIRTUAL_ROOT (-1) must
-        # never reach it.  Guard the constant the encoding relies on.
+        # The labels are indexed by node id; VIRTUAL_ROOT (-1) must
+        # never reach them.  Guard the constant the encoding relies on.
         assert VIRTUAL_ROOT == -1

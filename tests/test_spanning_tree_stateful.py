@@ -3,13 +3,17 @@
 Random interleavings of the three structural operations (pushdown,
 contract_path, reject) on random valid arguments must always leave the
 forest consistent: parent/children symmetry, depth = parent depth + 1,
-live supernode sizes summing to n.
+live supernode sizes summing to n — and the live Euler-tour labels
+must answer every ancestor test exactly as the parent-pointer walk
+does, on both tree classes and after a checkpoint round trip.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.spanning.brtree import BRPlusTree
 from repro.spanning.tree import ContractibleTree
 
 N = 14
@@ -65,3 +69,30 @@ def test_depths_bounded_by_live_count(seed):
     live = tree.live_nodes()
     if live.size:
         assert int(tree.depth[live].max()) <= live.size
+
+
+def _labels_match_walk(tree: ContractibleTree) -> None:
+    """The O(1) label test equals the walking test on every live pair."""
+    live = tree.live_nodes().tolist()
+    for a in live:
+        for d in live:
+            assert tree.oracle.is_ancestor(a, d) == tree.is_ancestor(a, d), (
+                a, d,
+            )
+
+
+@pytest.mark.parametrize("cls", [ContractibleTree, BRPlusTree])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), steps=st.integers(1, 40))
+def test_live_labels_equal_walk_after_every_op(cls, seed, steps):
+    rng = np.random.default_rng(seed)
+    tree = cls(N)
+    for _ in range(steps):
+        _apply_random_op(tree, rng)
+        _labels_match_walk(tree)
+    restored = cls.from_state(tree.state_arrays())
+    _labels_match_walk(restored)
+    # The restored labels keep working under further edits.
+    for _ in range(10):
+        _apply_random_op(restored, rng)
+        _labels_match_walk(restored)
