@@ -98,7 +98,9 @@ class EMSCC(SCCAlgorithm):
                 )
                 if in_memory_bytes <= memory.capacity:
                     with tracer.span("finish-in-memory"):
-                        self._finish_in_memory(current, ds, live, kernel)
+                        self._finish_in_memory(
+                            current, ds, live, kernel, tracer
+                        )
                     break
                 if iteration >= self.max_iterations:
                     raise NonTermination(self.name, iteration)
@@ -120,7 +122,7 @@ class EMSCC(SCCAlgorithm):
                             partitions += 1
                             edges_classified += batch.shape[0]
                             if self._contract_partition(
-                                batch, ds, live, kernel
+                                batch, ds, live, kernel, tracer
                             ):
                                 progress = True
                                 contracted += 1
@@ -188,8 +190,13 @@ class EMSCC(SCCAlgorithm):
         ds: DisjointSet,
         live: np.ndarray,
         kernel: Optional[ScanKernels] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> bool:
-        """Contract the SCCs of one memory-sized partition."""
+        """Contract the SCCs of one memory-sized partition.
+
+        Emits ``scc-nodes`` and ``scc-edges`` (the size of the partition
+        graph) on the enclosing span.
+        """
         kernel = kernel if kernel is not None else resolve_kernels()
         us = ds.find_many(batch[:, 0].astype(np.int64))
         vs = ds.find_many(batch[:, 1].astype(np.int64))
@@ -201,6 +208,8 @@ class EMSCC(SCCAlgorithm):
         nodes, comp_edges = kernel.compact_pairs(us, vs)
         local = Digraph(int(nodes.size), comp_edges)
         labels, count = kosaraju_scc(local)
+        tracer.add("scc-nodes", local.num_nodes)
+        tracer.add("scc-edges", local.num_edges)
         if count == nodes.size:
             return False
         order = np.argsort(labels, kind="stable")
@@ -221,6 +230,7 @@ class EMSCC(SCCAlgorithm):
         ds: DisjointSet,
         live: np.ndarray,
         kernel: Optional[ScanKernels] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         """Load the remaining graph and finish with in-memory Kosaraju."""
         kernel = kernel if kernel is not None else resolve_kernels()
@@ -238,6 +248,8 @@ class EMSCC(SCCAlgorithm):
         nodes, comp_edges = kernel.compact_pairs(us, vs)
         local = Digraph(int(nodes.size), comp_edges)
         labels, count = kosaraju_scc(local)
+        tracer.add("scc-nodes", local.num_nodes)
+        tracer.add("scc-edges", local.num_edges)
         order = np.argsort(labels, kind="stable")
         boundaries = np.searchsorted(labels[order], np.arange(count + 1))
         for label in range(count):

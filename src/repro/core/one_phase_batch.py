@@ -271,9 +271,10 @@ class OnePhaseBatchSCC(SCCAlgorithm):
     ) -> Tuple[bool, int]:
         """Lines 6-12 of Algorithm 8 for one batch.
 
-        Returns ``(changed, largest_supernode)``.  Emits ``merges`` (nodes
-        absorbed into supernodes) and ``batch-rebuilds`` (tree rebuild
-        passes that moved anything) counters on the enclosing span.
+        Returns ``(changed, largest_supernode)``.  Emits ``scc-nodes`` and
+        ``scc-edges`` (the size of ``G''``), ``merges`` (nodes absorbed
+        into supernodes) and ``batch-rebuilds`` (tree rebuild passes that
+        moved anything) counters on the enclosing span.
         """
         kernel = kernel if kernel is not None else resolve_kernels()
         n = parent.shape[0]
@@ -317,6 +318,8 @@ class OnePhaseBatchSCC(SCCAlgorithm):
 
         # --- lines 7-8: in-memory SCCs, contraction, condensation.
         labels2, count2 = kosaraju_scc(g2)
+        tracer.add("scc-nodes", g2.num_nodes)
+        tracer.add("scc-edges", g2.num_edges)
         sizes2 = np.bincount(labels2, minlength=count2)
         # Sort members by (label, depth): each group's first member is
         # its shallowest node, which keeps the topmost tree position and

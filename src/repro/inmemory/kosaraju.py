@@ -3,50 +3,71 @@
 This is the in-memory algorithm the paper's DFS-SCC baseline
 semi-externalizes, and the one Algorithm 8 (1PB-SCC) runs on each
 in-memory batch.  Implemented from scratch with explicit stacks.
+
+Both passes run over plain Python lists: each direction's CSR is built
+once with a stable sort and converted with one ``tolist()``, so the
+inner loops index lists and a ``bytearray`` instead of reading boxed
+numpy scalars.  The visiting order is the one a numpy-indexed CSR walk
+gives (successors in edge-array order, roots in id order), so the
+labels do not depend on the representation.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.graph.digraph import Digraph
 
 
-def _finish_order(graph: Digraph) -> np.ndarray:
+def _csr_lists(
+    sources: np.ndarray, targets: np.ndarray, n: int
+) -> Tuple[List[int], List[int]]:
+    """``(indptr, indices)`` as lists, successors in edge-array order."""
+    # numpy's stable sort is a radix sort for 16-bit keys and a merge
+    # sort otherwise; narrowing the ids when they fit is 5x faster on
+    # 1PB-SCC's batch graphs and sorts identically.
+    keys = sources.astype(np.uint16) if n <= 1 << 16 else sources
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    return indptr.tolist(), targets[order].tolist()
+
+
+def _finish_order(n: int, indptr: List[int], indices: List[int]) -> List[int]:
     """Nodes in increasing DFS finish time (the first pass)."""
-    n = graph.num_nodes
-    indptr = graph.indptr
-    indices = graph.indices
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    filled = 0
+    visited = bytearray(n)
+    order: List[int] = []
+    finish = order.append
+    # DFS frames: node and next CSR position, as two parallel lists;
+    # the top frame lives in ``v``/``i``/``end``.
+    frame_node: List[int] = []
+    frame_next: List[int] = []
     for root in range(n):
         if visited[root]:
             continue
-        visited[root] = True
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v = frame[0]
-            start = indptr[v]
-            end = indptr[v + 1]
-            descended = False
-            offset = frame[1]
-            while start + offset < end:
-                w = int(indices[start + offset])
-                offset += 1
+        visited[root] = 1
+        v = root
+        i = indptr[v]
+        end = indptr[v + 1]
+        while True:
+            while i < end:
+                w = indices[i]
+                i += 1
                 if not visited[w]:
-                    visited[w] = True
-                    frame[1] = offset
-                    work.append([w, 0])
-                    descended = True
-                    break
-            if not descended:
-                work.pop()
-                order[filled] = v
-                filled += 1
+                    visited[w] = 1
+                    frame_node.append(v)
+                    frame_next.append(i)
+                    v = w
+                    i = indptr[w]
+                    end = indptr[w + 1]
+            finish(v)
+            if not frame_node:
+                break
+            v = frame_node.pop()
+            i = frame_next.pop()
+            end = indptr[v + 1]
     return order
 
 
@@ -59,28 +80,31 @@ def kosaraju_scc(graph: Digraph) -> Tuple[np.ndarray, int]:
     Tarjan's labelling convention).
     """
     n = graph.num_nodes
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return labels, 0
+    edges = graph.edges
+    heads = edges[:, 0]
+    tails = edges[:, 1]
 
-    order = _finish_order(graph)
-    reverse = graph.reverse()
-    indptr = reverse.indptr
-    indices = reverse.indices
+    indptr, indices = _csr_lists(heads, tails, n)
+    order = _finish_order(n, indptr, indices)
+    # Freed first, so peak memory holds one direction's lists, not two.
+    del indptr, indices
+    indptr, indices = _csr_lists(tails, heads, n)
 
+    labels = [-1] * n
+    stack: List[int] = []
+    push = stack.append
+    pop = stack.pop
     scc_count = 0
-    for v in order[::-1]:
-        v = int(v)
-        if labels[v] != -1:
+    for v in reversed(order):
+        if labels[v] >= 0:
             continue
         labels[v] = scc_count
-        stack = [v]
+        push(v)
         while stack:
-            u = stack.pop()
+            u = pop()
             for w in indices[indptr[u] : indptr[u + 1]]:
-                w = int(w)
-                if labels[w] == -1:
+                if labels[w] < 0:
                     labels[w] = scc_count
-                    stack.append(w)
+                    push(w)
         scc_count += 1
-    return labels, scc_count
+    return np.array(labels, dtype=np.int64), scc_count

@@ -30,6 +30,7 @@ class ServiceClient:
         self.host = host
         self.port = port
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._sock.makefile("rb")
         self._next_id = 0
 

@@ -666,6 +666,12 @@ class SCCServer:
                 conn, _addr = self._listener.accept()
             except OSError:
                 return
+            try:
+                # Without it Nagle holds each pipelined response back
+                # until the client's delayed ACK (~8 ms a response).
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                pass  # a dead peer; the connection loop closes it
             with self._conns_lock:
                 self._conns.append(conn)
             thread = threading.Thread(

@@ -92,6 +92,101 @@ class TestLabelOrderConventions:
             assert (mapped[:, 0] <= mapped[:, 1]).all()
 
 
+def _reference_kosaraju(graph):
+    """The numpy-indexed Kosaraju that ``kosaraju_scc`` replaced.
+
+    Kept as the executable spec of its exact labels: 1PB-SCC rebuilds
+    its tree from them, so partitions and counted I/O depend on the
+    label values, not only on the partition they induce.
+    """
+    n = graph.num_nodes
+    labels = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return labels, 0
+    indptr, indices = graph.indptr, graph.indices
+    visited = np.zeros(n, dtype=bool)
+    order = []
+    for root in range(n):
+        if visited[root]:
+            continue
+        visited[root] = True
+        work = [[root, 0]]
+        while work:
+            frame = work[-1]
+            v = frame[0]
+            start, end = indptr[v], indptr[v + 1]
+            offset = frame[1]
+            descended = False
+            while start + offset < end:
+                w = int(indices[start + offset])
+                offset += 1
+                if not visited[w]:
+                    visited[w] = True
+                    frame[1] = offset
+                    work.append([w, 0])
+                    descended = True
+                    break
+            if not descended:
+                work.pop()
+                order.append(v)
+    reverse = graph.reverse()
+    indptr, indices = reverse.indptr, reverse.indices
+    count = 0
+    for v in reversed(order):
+        if labels[v] != -1:
+            continue
+        labels[v] = count
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in indices[indptr[u] : indptr[u + 1]]:
+                w = int(w)
+                if labels[w] == -1:
+                    labels[w] = count
+                    stack.append(w)
+        count += 1
+    return labels, count
+
+
+def _assert_same_labels(graph):
+    labels, count = kosaraju_scc(graph)
+    expected_labels, expected_count = _reference_kosaraju(graph)
+    assert count == expected_count
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, expected_labels)
+    return count
+
+
+class TestKosarajuExactLabels:
+    """``kosaraju_scc`` returns the very labels of the reference walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_digraphs())
+    def test_random_digraphs(self, graph):
+        _assert_same_labels(graph)
+
+    def test_isolated_nodes_self_loops_and_parallel_edges(self):
+        # 0, 4 and 8 are isolated; 2 and 6 carry self-loops; 1->3 and
+        # 5->6 are repeated; the cycle 3->5->7->3 spans them.
+        edges = [[2, 2], [1, 3], [1, 3], [3, 5], [5, 7], [7, 3], [5, 6],
+                 [5, 6], [6, 6], [7, 1], [1, 3]]
+        _assert_same_labels(Digraph(9, np.array(edges)))
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+    def test_either_side_of_the_16_bit_sort_keys(self, n):
+        rng = np.random.default_rng(n)
+        _assert_same_labels(Digraph(n, rng.integers(0, n, size=(2 * n, 2))))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_hundred_thousand_node_path_and_cycle(self, closed):
+        # Depth 100,000 DFS: far past the recursion limit, so this only
+        # passes if both passes stay iterative.
+        n = 100_000
+        heads = np.arange(n if closed else n - 1)
+        graph = Digraph(n, np.column_stack((heads, (heads + 1) % n)))
+        assert _assert_same_labels(graph) == (1 if closed else n)
+
+
 class TestCrossAgreement:
     @settings(max_examples=80, deadline=None)
     @given(graph=random_digraphs())

@@ -270,6 +270,48 @@ class TestTracingIsTransparent:
         assert untraced.stats.io == traced.stats.io
         assert untraced.stats.iterations == traced.stats.iterations
 
+    @pytest.mark.parametrize(
+        "algorithm, scan, node_bytes",
+        [("1PB-SCC", "batch-scan", 10), ("EM-SCC", "partition-scan", 4)],
+    )
+    def test_in_memory_scc_work_counters(
+        self, tmp_path, algorithm, scan, node_bytes
+    ):
+        """``scc-nodes``/``scc-edges`` count the first scan's graphs, exactly."""
+        from repro.core import ALGORITHMS
+        from repro.graph.digraph import Digraph
+        from repro.io.memory import MemoryModel
+
+        # 2-cycles inside partitions: larger than M, so both need batches.
+        n = 100
+        pairs = [[2 * i + a, 2 * i + 1 - a] for i in range(n // 2) for a in (0, 1)]
+        graph = Digraph(n, np.array(pairs))
+        runs = []
+        for attempt in range(2):
+            disk = DiskGraph.from_digraph(
+                graph, str(tmp_path / f"g{attempt}.bin"), block_size=SMALL_BLOCK
+            )
+            memory = MemoryModel(
+                num_nodes=n,
+                capacity=SMALL_BLOCK + node_bytes * n,
+                block_size=SMALL_BLOCK,
+            )
+            tracer = Tracer()
+            try:
+                ALGORITHMS[algorithm]().run(disk, memory=memory, tracer=tracer)
+            finally:
+                disk.unlink()
+            runs.append([
+                {k: v for k, v in span.counters.items() if k.startswith("scc-")}
+                for span in tracer.spans
+                if span.name == scan
+            ])
+        # The first scan hands every edge to Kosaraju; a later scan over
+        # an emptied edge file runs none and so carries no counters.
+        first = runs[0][0]
+        assert first["scc-edges"] == n and first["scc-nodes"] >= n
+        assert runs[0] == runs[1]
+
     def test_default_run_uses_null_tracer(self, tmp_path, figure1_graph):
         disk = DiskGraph.from_digraph(
             figure1_graph, str(tmp_path / "fig1.bin"), block_size=SMALL_BLOCK

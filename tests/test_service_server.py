@@ -132,6 +132,20 @@ class TestServing:
             )
 
 
+class TestSockets:
+    def test_both_ends_disable_nagle(self, served):
+        # Nagle plus delayed ACK would hold each response ~8 ms.
+        server = served()
+        wait_until_ready("127.0.0.1", server.port)
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.health()  # the daemon has accepted this connection
+            with server._conns_lock:
+                accepted = list(server._conns)
+            assert accepted
+            for sock in [client._sock] + accepted:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
 class TestDeadlines:
     def test_deadline_exceeded_during_execution(self, served):
         server = served()
